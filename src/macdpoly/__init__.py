@@ -44,7 +44,6 @@ from .identities import (
     verify,
     verify_grid,
 )
-from .linalg import SingularSystemError, solve_exact
 from .operators import (
     PieriTerm,
     eigenvalue,
@@ -77,7 +76,6 @@ __all__ = [
     "MacdonaldContext",
     "PieriTerm",
     "RootData",
-    "SingularSystemError",
     "VerificationReport",
     "Weight",
     "char_lambda_r",
@@ -116,7 +114,6 @@ __all__ = [
     "save_cache",
     "scalar_to_str",
     "shapovalov_denominator",
-    "solve_exact",
     "special_value_rhs",
     "specialized_recurrence_check",
     "symmetry_rhs",

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .exact import ExactScalar, _coerce_scalar, q_power, qint, scalar_to_str
-from .weights import Weight, RootData, pairing, weyl_orbit
+from .weights import Weight, RootData, check_param, pairing, weyl_orbit
 
 __all__ = [
     "GroupAlgebraElement",
@@ -29,8 +29,7 @@ class GroupAlgebraElement:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[Weight, object] | None = None):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
+        check_param(n, "rank parameter n", 2)
         data: dict[Weight, ExactScalar] = {}
         if terms:
             for w, c in terms.items():

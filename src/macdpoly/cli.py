@@ -10,7 +10,9 @@ table   print the Pieri coefficients for (mu, r)
 
 Exit codes: 0 success / all checks passed, 1 at least one check failed,
 2 invalid input.  All computed polynomials are cached under a directory
-chosen from --cache-dir, then $MACD_CACHE_DIR, then ./.macd-cache.
+chosen from --cache-dir, then $MACD_CACHE_DIR, then ./.macd-cache; a
+cache file or entry that fails validation is reported on stderr and
+rebuilt.
 """
 
 from __future__ import annotations
@@ -205,6 +207,10 @@ def run(argv: list[str] | None = None) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for lam in ctx.rejected:
+            print(f"warning: cache file {cache_file}: entry {lam} failed its "
+                  "orthogonality check; rebuilt", file=sys.stderr)
     _save_cache(ctx, cache_file)
     return code
 

@@ -6,9 +6,16 @@ The inner product is
     Delta  = prod_{alpha in R} prod_{i=0}^{k-1} (1 - q^(2i) e^alpha),
 
 and P_lam is the unique W-invariant element  m_lam + (lower orbit sums)
-orthogonal to every strictly smaller orbit sum.  The correction
-coefficients come from one exact Gram solve per weight; results are
-memoized per context and can be saved to / loaded from a JSON cache.
+orthogonal to every strictly smaller orbit sum.  The P's are mutually
+orthogonal (Macdonald, Symmetric Functions and Hall Polynomials, VI.9),
+so P_lam is m_lam minus its projections onto the lower P_mu:
+
+    P_lam = m_lam - sum_{mu < lam} <m_lam, P_mu> / <P_mu, P_mu> * P_mu,
+
+worked out on orbit-sum coefficients against a per-context table of
+Gram entries <m_a, m_b> read off the kernel.  Results are memoized per
+context and can be saved to / loaded from a JSON cache; a loaded entry
+is checked against the Gram table on its first use.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import GroupAlgebraElement, orbit_sum
+from .algebra import GroupAlgebraElement
 from .exact import ExactScalar, parse_scalar, q_power, scalar_to_str
-from .linalg import solve_exact
-from .weights import Weight, RootData, dominance_leq, dominant_below, parse_weight
+from .weights import (Weight, RootData, check_param, dominance_leq, dominant_below,
+                      parse_weight, weyl_orbit)
 
 __all__ = [
     "MacdonaldContext",
@@ -40,10 +47,8 @@ __all__ = [
 
 def delta_kernel(n: int, k: int) -> GroupAlgebraElement:
     """The weight function prod_{alpha in R} prod_{i=0}^{k-1} (1 - q^(2i) e^alpha)."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"deformation parameter k must be an integer >= 1, got {k!r}")
+    check_param(n, "rank parameter n", 2)
+    check_param(k, "deformation parameter k", 1)
     rd = RootData(n)
     zero = Weight.zero(n)
     f = GroupAlgebraElement.one(n)
@@ -60,19 +65,23 @@ class MacdonaldContext:
     pairs.  Reads and insert-if-absent are guarded by a lock, so one
     context can serve several threads; a value is computed at most once
     per weight in the common case and extra computations are discarded
-    by setdefault semantics.
+    by setdefault semantics.  Entries read from a cache file wait in
+    ``_loaded`` until their first use checks them; ``rejected`` lists
+    those that failed.  Gram entries and norms use plain setdefault.
     """
 
     def __init__(self, n: int, k: int):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"deformation parameter k must be an integer >= 1, got {k!r}")
+        check_param(n, "rank parameter n", 2)
+        check_param(k, "deformation parameter k", 1)
         self.n = n
         self.k = k
         self.root_data = RootData(n)
         self.kernel = delta_kernel(n, k)
         self._polys: dict[Weight, tuple[dict[Weight, ExactScalar], GroupAlgebraElement]] = {}
+        self._loaded: dict[Weight, dict[Weight, ExactScalar]] = {}
+        self.rejected: list[Weight] = []
+        self._gram: dict[tuple[Weight, Weight], ExactScalar] = {}
+        self._pnorms: dict[Weight, ExactScalar] = {}
         self._lock = threading.Lock()
         self._chi0: GroupAlgebraElement | None = None
 
@@ -103,30 +112,53 @@ def inner_product(f: GroupAlgebraElement, g: GroupAlgebraElement,
     return total * Fraction(1, math.factorial(ctx.n))
 
 
-def _gram_solve(lam: Weight, ctx: MacdonaldContext) -> dict[Weight, ExactScalar]:
-    basis = dominant_below(lam)
+def _gram(a: Weight, b: Weight, ctx: MacdonaldContext) -> ExactScalar:
+    """<m_a, m_b> for dominant a, b, memoized per unordered pair.
+
+    The kernel is W-invariant and bar-invariant, so the double sum over
+    both orbits collapses to |O(a)|/n! * sum_{y in O(b)} K[y - a], and
+    the entry is symmetric in a and b.
+    """
+    key = (a, b) if a.coords >= b.coords else (b, a)
+    hit = ctx._gram.get(key)
+    if hit is not None:
+        return hit
+    a, b = key
+    zero = ExactScalar.zero()
+    total = sum((ctx.kernel.terms.get(y - a, zero) for y in weyl_orbit(b)), zero)
+    # |O(a)|/n! = 1 / prod(multiplicity! of each coordinate value)
+    stabilizer = math.prod(math.factorial(a.coords.count(v)) for v in set(a.coords))
+    return ctx._gram.setdefault(key, total * Fraction(1, stabilizer))
+
+
+def _pair_with(lam: Weight, coeffs: dict[Weight, ExactScalar], ctx: MacdonaldContext) -> ExactScalar:
+    """<m_lam, sum_nu c_nu m_nu> on the Gram table."""
+    return sum((c * _gram(lam, nu, ctx) for nu, c in coeffs.items()), ExactScalar.zero())
+
+
+def _build(lam: Weight, ctx: MacdonaldContext) -> dict[Weight, ExactScalar]:
+    """Orbit-sum coefficients of P_lam by the triangular recursion.
+
+    The lower weights are visited lowest first, so every P_mu they need
+    is already memoized when _poly_entry asks for it.
+    """
     coeffs = {lam: ExactScalar.one()}
-    if len(basis) == 1:
-        return coeffs
-    msums = [orbit_sum(mu) for mu in basis]
-    m = len(basis) - 1
-    # Gram matrix of the strictly-lower orbit sums, and the pairings of
-    # m_lam against them; entries are symmetric in the two arguments up
-    # to bar, but we just compute what the solve needs.
-    matrix = [[inner_product(msums[j + 1], msums[i + 1], ctx) for j in range(m)]
-              for i in range(m)]
-    rhs = [-inner_product(msums[0], msums[i + 1], ctx) for i in range(m)]
-    solution = solve_exact(matrix, rhs)
-    for mu, c in zip(basis[1:], solution):
-        if c:
-            coeffs[mu] = c
-    return coeffs
+    for mu in reversed(dominant_below(lam)[1:]):
+        lower = _poly_entry(mu, ctx)[0]
+        overlap = _pair_with(lam, lower, ctx)
+        if not overlap:
+            continue
+        # <P_mu, P_mu> = <m_mu, P_mu>: P_mu is orthogonal to its own lower terms
+        pnorm = ctx._pnorms.get(mu) or ctx._pnorms.setdefault(mu, _pair_with(mu, lower, ctx))
+        ratio = overlap / pnorm
+        for nu, c in lower.items():
+            coeffs[nu] = coeffs.get(nu, ExactScalar.zero()) - ratio * c
+    return {nu: c for nu, c in coeffs.items() if c}
 
 
 def macdonald_coeffs(lam: Weight, ctx: MacdonaldContext) -> dict[Weight, ExactScalar]:
     """Orbit-sum expansion coefficients of P_lam (unit leading coefficient)."""
-    pair = _poly_entry(lam, ctx)
-    return dict(pair[0])
+    return dict(_poly_entry(lam, ctx)[0])
 
 
 def macdonald_poly(lam: Weight, ctx: MacdonaldContext) -> GroupAlgebraElement:
@@ -142,10 +174,18 @@ def _poly_entry(lam: Weight, ctx: MacdonaldContext):
     hit = ctx._cache_get(lam)
     if hit is not None:
         return hit
-    coeffs = _gram_solve(lam, ctx)
-    element = GroupAlgebraElement.zero(ctx.n)
-    for mu, c in coeffs.items():
-        element = element + orbit_sum(mu) * c
+    with ctx._lock:
+        coeffs = ctx._loaded.pop(lam, None)
+    # load_cache checked the unit leading term and triangular support; being
+    # orthogonal to every lower m_mu as well singles out P_lam
+    if coeffs is not None and any(_pair_with(mu, coeffs, ctx) for mu in dominant_below(lam)[1:]):
+        ctx.rejected.append(lam)
+        coeffs = None
+    if coeffs is None:
+        coeffs = _build(lam, ctx)
+    # orbits of distinct dominant weights are disjoint: no terms to combine
+    element = GroupAlgebraElement._raw(
+        ctx.n, {w: c for mu, c in coeffs.items() for w in weyl_orbit(mu)})
     return ctx._cache_put(lam, (coeffs, element))
 
 
@@ -185,9 +225,13 @@ def norm(lam: Weight, ctx: MacdonaldContext) -> ExactScalar:
 
 
 def save_cache(ctx: MacdonaldContext, path: str | Path) -> None:
-    """Write every memoized polynomial of this context to a JSON file."""
+    """Write every memoized polynomial of this context to a JSON file.
+
+    Loaded entries not used yet (so not checked yet) are written back as read.
+    """
     with ctx._lock:
-        snapshot = {lam: coeffs for lam, (coeffs, _) in ctx._polys.items()}
+        snapshot = dict(ctx._loaded)
+        snapshot.update((lam, coeffs) for lam, (coeffs, _) in ctx._polys.items())
     entries = []
     for lam in sorted(snapshot, key=lambda w: w.coords):
         coeffs = snapshot[lam]
@@ -202,13 +246,47 @@ def save_cache(ctx: MacdonaldContext, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
+def _field(record, key: str, kind: type, where: str):
+    """record[key], where record must be a JSON object and the value a `kind`."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} needs a {kind.__name__} field {key!r}, got {record!r}")
+    return value
+
+
+def _parse_entry(entry, ctx: MacdonaldContext) -> tuple[Weight, dict[Weight, ExactScalar]]:
+    text = _field(entry, "lambda", str, "cache entry")
+    where = f"cache entry {text!r}"
+    lam = parse_weight(text, ctx.n)
+    if not lam.is_dominant:
+        raise ValueError(f"cache entry for non-dominant weight {text!r}")
+    coeffs: dict[Weight, ExactScalar] = {}
+    for rec in _field(entry, "coeffs", list, where):
+        mu_text = _field(rec, "mu", str, where)
+        mu = parse_weight(mu_text, ctx.n)
+        if mu in coeffs:
+            raise ValueError(f"duplicate coefficient for {mu_text!r}")
+        if not mu.is_dominant or not dominance_leq(mu, lam):
+            raise ValueError(f"{where} violates triangularity at {mu_text!r}")
+        value = _field(rec, "value", str, where)
+        try:
+            coeffs[mu] = parse_scalar(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{where} has a zero denominator in {value!r}") from None
+    coeffs = {mu: c for mu, c in coeffs.items() if c}
+    if coeffs.get(lam) != ExactScalar.one():
+        raise ValueError(f"{where} lacks unit leading coefficient")
+    return lam, coeffs
+
+
 def load_cache(ctx: MacdonaldContext, path: str | Path) -> int:
     """Load a cache file into the context, validating every entry.
 
-    Triangularity is enforced before anything is trusted: each mu must be
-    dominant and below its lambda, and the leading coefficient must be 1.
-    Returns the number of entries loaded; raises ValueError on any
-    malformed or inconsistent content.
+    Every entry is parsed before any is committed, so a bad file loads
+    nothing.  Each mu must be dominant and below its lambda, and the
+    leading coefficient must be 1; the values are checked on first use
+    (see _poly_entry).  Returns the number of entries loaded; raises
+    ValueError on any malformed or inconsistent content.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -220,31 +298,12 @@ def load_cache(ctx: MacdonaldContext, path: str | Path) -> int:
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise ValueError("cache file has no entries list")
-    loaded = 0
-    seen: set[Weight] = set()
+    staged: dict[Weight, dict[Weight, ExactScalar]] = {}
     for entry in entries:
-        lam = parse_weight(entry["lambda"], ctx.n)
-        if not lam.is_dominant:
-            raise ValueError(f"cache entry for non-dominant weight {entry['lambda']!r}")
-        if lam in seen:
-            raise ValueError(f"duplicate cache entry for {entry['lambda']!r}")
-        seen.add(lam)
-        coeffs: dict[Weight, ExactScalar] = {}
-        for rec in entry["coeffs"]:
-            mu = parse_weight(rec["mu"], ctx.n)
-            if mu in coeffs:
-                raise ValueError(f"duplicate coefficient for {rec['mu']!r}")
-            if not mu.is_dominant or not dominance_leq(mu, lam):
-                raise ValueError(
-                    f"cache entry {entry['lambda']!r} violates triangularity at {rec['mu']!r}")
-            value = parse_scalar(rec["value"])
-            if value:
-                coeffs[mu] = value
-        if coeffs.get(lam) != ExactScalar.one():
-            raise ValueError(f"cache entry {entry['lambda']!r} lacks unit leading coefficient")
-        element = GroupAlgebraElement.zero(ctx.n)
-        for mu, c in coeffs.items():
-            element = element + orbit_sum(mu) * c
-        ctx._cache_put(lam, (coeffs, element))
-        loaded += 1
-    return loaded
+        lam, coeffs = _parse_entry(entry, ctx)
+        if lam in staged:
+            raise ValueError(f"duplicate cache entry for {str(lam)!r}")
+        staged[lam] = coeffs
+    with ctx._lock:
+        ctx._loaded.update((lam, c) for lam, c in staged.items() if lam not in ctx._polys)
+    return len(staged)

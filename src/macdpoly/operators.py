@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .algebra import GroupAlgebraElement, char_lambda_r
 from .core import MacdonaldContext, macdonald_poly
 from .exact import ExactDivisionError, ExactScalar, q_power, qint
-from .weights import Weight, lambda_r_weights, pairing
+from .weights import Weight, check_param, lambda_r_weights, pairing
 
 __all__ = [
     "PieriTerm",
@@ -83,8 +83,7 @@ def macdonald_operator(f: GroupAlgebraElement, r: int,
     n, k = ctx.n, ctx.k
     if f.n != n:
         raise ValueError(f"element rank {f.n} does not match context rank {n}")
-    if not isinstance(r, int) or not 1 <= r <= n - 1:
-        raise ValueError(f"operator index r must satisfy 1 <= r <= n-1, got {r!r}")
+    check_param(r, "operator index r", 1, n - 1)
     if not f.is_w_invariant():
         raise ValueError("macdonald_operator requires a Weyl-invariant input")
     roots = ctx.root_data.all_roots
@@ -159,8 +158,7 @@ def pieri_expand(mu: Weight, r: int, ctx: MacdonaldContext) -> list[PieriTerm]:
     Terms with non-dominant mu + nu drop out; the list order follows
     lambda_r_weights and is deterministic.
     """
-    if not isinstance(r, int) or not 1 <= r <= ctx.n - 1:
-        raise ValueError(f"operator index r must satisfy 1 <= r <= n-1, got {r!r}")
+    check_param(r, "operator index r", 1, ctx.n - 1)
     if not mu.is_dominant:
         raise ValueError(f"pieri_expand needs dominant mu, got {mu!r}")
     out = []
@@ -185,8 +183,7 @@ def specialized_recurrence_sides(lam: Weight, mu: Weight, r: int,
     n, k = ctx.n, ctx.k
     if not lam.is_dominant or not mu.is_dominant:
         raise ValueError("specialized recurrence needs dominant lam and mu")
-    if not isinstance(r, int) or not 1 <= r <= n - 1:
-        raise ValueError(f"operator index r must satisfy 1 <= r <= n-1, got {r!r}")
+    check_param(r, "operator index r", 1, n - 1)
     rho = ctx.root_data.rho
     shifted = mu + k * rho
     p = macdonald_poly(lam, ctx)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 __all__ = [
+    "check_param",
     "Weight",
     "RootData",
     "pairing",
@@ -29,6 +30,14 @@ __all__ = [
     "dominant_weights_up_to",
     "parse_weight",
 ]
+
+
+def check_param(value, name: str, lo: int, hi: int | None = None) -> None:
+    """Require an int with lo <= value (<= hi, which is only ever n-1 on an index r)."""
+    if isinstance(value, int) and value >= lo and (hi is None or value <= hi):
+        return
+    bound = f"be an integer >= {lo}" if hi is None else f"satisfy {lo} <= r <= n-1"
+    raise ValueError(f"{name} must {bound}, got {value!r}")
 
 
 class Weight:
@@ -127,8 +136,7 @@ class RootData:
     __slots__ = ("n", "positive_roots", "simple_roots", "all_roots", "rho")
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"rank parameter n must be an integer >= 2, got {n!r}")
+        check_param(n, "rank parameter n", 2)
         self.n = n
         pos = []
         for i in range(n):
@@ -216,21 +224,22 @@ def dominant_below(lam: Weight) -> list[Weight]:
 
 def weyl_orbit(lam: Weight) -> list[Weight]:
     """The S_n orbit of a weight, deterministically ordered, no repeats."""
-    seen = {Weight(p) for p in set(itertools.permutations(lam.coords))}
-    return sorted(seen, key=lambda w: w.coords, reverse=True)
+    # distinct arrangements by insertion; no step holds more than the orbit's size
+    perms = {()}
+    for c in lam.coords:
+        perms = {p[:i] + (c,) + p[i:] for p in perms for i in range(len(p) + 1)}
+    return sorted(map(Weight, perms), key=lambda w: w.coords, reverse=True)
 
 
 def fundamental_weight(n: int, r: int) -> Weight:
     """omega_r, the highest weight of the r-th exterior power of the vector rep."""
-    if not isinstance(r, int) or not 1 <= r <= n - 1:
-        raise ValueError(f"r must satisfy 1 <= r <= n-1, got {r!r}")
+    check_param(r, "r", 1, n - 1)
     return Weight((1,) * r + (0,) * (n - r))
 
 
 def lambda_r_weights(n: int, r: int) -> list[Weight]:
     """All weights of the r-th exterior power: indicator vectors of r-subsets."""
-    if not isinstance(r, int) or not 1 <= r <= n - 1:
-        raise ValueError(f"r must satisfy 1 <= r <= n-1, got {r!r}")
+    check_param(r, "r", 1, n - 1)
     out = []
     for subset in itertools.combinations(range(n), r):
         coords = [0] * n

@@ -229,3 +229,38 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def test_cache_entry_without_coeffs_warns_and_recomputes(capsys, tmp_path):
+    (tmp_path / "macd-n2-k2.json").write_text(
+        json.dumps({"n": 2, "k": 2, "entries": [{"lambda": "2,0"}]}))
+    code, out, err = invoke(
+        capsys, "verify", "norm", "--n", "2", "--k", "2", "--lambda", "2,0",
+        "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert "equal: yes" in out
+    assert "warning: ignoring cache file" in err
+
+
+def test_poisoned_cache_entry_warns_and_rebuilds(capsys, tmp_path):
+    invoke(capsys, "poly", "--n", "2", "--k", "2", "--lambda", "2,0",
+           "--cache-dir", str(tmp_path))
+    cache_file = tmp_path / "macd-n2-k2.json"
+    doc = json.loads(cache_file.read_text())
+    for entry in doc["entries"]:
+        if entry["lambda"] == "2,0":
+            for rec in entry["coeffs"]:
+                if rec["mu"] == "0,0":
+                    rec["value"] = "3"
+    cache_file.write_text(json.dumps(doc))
+    code, out, err = invoke(
+        capsys, "verify", "norm", "--n", "2", "--k", "2", "--lambda", "2,0",
+        "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert "equal: yes" in out
+    assert "entry 2,0 failed its orthogonality check" in err
+    # the rebuilt value replaced the poisoned one on disk
+    code, _, err = invoke(
+        capsys, "verify", "norm", "--n", "2", "--k", "2", "--lambda", "2,0",
+        "--cache-dir", str(tmp_path))
+    assert code == 0 and err == ""

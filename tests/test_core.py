@@ -248,3 +248,138 @@ def test_poly_cache_concurrent_reads():
     assert not errors
     for r in results[1:]:
         assert r == results[0]
+
+
+# ---------------------------------------------------------------------------
+# Gram table and triangular recursion, against independent oracles
+# ---------------------------------------------------------------------------
+
+
+def test_gram_table_matches_raw_inner_product():
+    from macdpoly.core import _gram
+
+    for n, k in [(3, 2), (2, 3)]:
+        ctx = get_context(n, k)
+        ws = grid_weights(n, 4)
+        for a in ws:
+            for b in ws:
+                raw = inner_product(orbit_sum(a), orbit_sum(b), ctx)
+                assert _gram(a, b, ctx) == raw, (n, k, a, b)
+
+
+def test_build_order_and_warm_cache_agree(tmp_path):
+    import random
+
+    ws = grid_weights(3, 5)
+    ascending = MacdonaldContext(3, 2)
+    expected = {lam: macdonald_coeffs(lam, ascending) for lam in ws}
+    shuffled = list(ws)
+    random.Random(7).shuffle(shuffled)
+    ctx = MacdonaldContext(3, 2)
+    assert {lam: macdonald_coeffs(lam, ctx) for lam in shuffled} == expected
+    path = tmp_path / "cache.json"
+    save_cache(ascending, path)
+    warm = MacdonaldContext(3, 2)
+    assert load_cache(warm, path) == len(ws)
+    assert {lam: macdonald_coeffs(lam, warm) for lam in shuffled} == expected
+    assert warm.rejected == []
+
+
+def test_pairwise_orthogonality_rank4():
+    ctx = get_context(4, 1)
+    ws = grid_weights(4, 3)
+    polys = {w: macdonald_poly(w, ctx) for w in ws}
+    for i, a in enumerate(ws):
+        for b in ws[:i]:
+            assert inner_product(polys[a], polys[b], ctx).is_zero, (a, b)
+
+
+# ---------------------------------------------------------------------------
+# Cache robustness: malformed shapes and wrong values
+# ---------------------------------------------------------------------------
+
+
+def _saved_doc(tmp_path):
+    ctx = MacdonaldContext(2, 2)
+    for lam in grid_weights(2, 2):
+        macdonald_poly(lam, ctx)
+    path = tmp_path / "cache.json"
+    save_cache(ctx, path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc["entries"][-1].pop("coeffs"),
+    lambda doc: doc["entries"][-1].pop("lambda"),
+    lambda doc: doc["entries"][-1]["coeffs"][0].pop("value"),
+    lambda doc: doc["entries"][-1].__setitem__("coeffs", {"mu": "2,0"}),
+    lambda doc: doc["entries"].__setitem__(-1, "2,0"),
+    lambda doc: doc["entries"][-1]["coeffs"][0].__setitem__("value", 1),
+    lambda doc: doc["entries"][-1].__setitem__("lambda", [2, 0]),
+    lambda doc: doc["entries"][-1]["coeffs"][0].__setitem__("value", "(1)/(0)"),
+], ids=["missing-coeffs", "missing-lambda", "missing-value", "non-list-coeffs",
+        "non-dict-entry", "non-string-value", "non-string-lambda", "zero-denominator"])
+def test_cache_malformed_shapes_raise_value_error(tmp_path, mutate):
+    path, doc = _saved_doc(tmp_path)
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_cache(MacdonaldContext(2, 2), path)
+
+
+def test_cache_half_bad_file_loads_nothing(tmp_path):
+    path, doc = _saved_doc(tmp_path)
+    del doc["entries"][-1]["coeffs"]
+    path.write_text(json.dumps(doc))
+    fresh = MacdonaldContext(2, 2)
+    with pytest.raises(ValueError):
+        load_cache(fresh, path)
+    empty = tmp_path / "empty.json"
+    save_cache(fresh, empty)
+    assert json.loads(empty.read_text())["entries"] == []
+
+
+def test_cache_poisoned_entry_is_rebuilt(tmp_path):
+    path, doc = _saved_doc(tmp_path)
+    for entry in doc["entries"]:
+        if entry["lambda"] == "2,0":
+            for rec in entry["coeffs"]:
+                if rec["mu"] == "0,0":
+                    rec["value"] = "7"
+    path.write_text(json.dumps(doc))
+    fresh = MacdonaldContext(2, 2)
+    load_cache(fresh, path)
+    assert macdonald_coeffs(Weight((2, 0)), fresh) == macdonald_coeffs(
+        Weight((2, 0)), get_context(2, 2))
+    assert fresh.rejected == [Weight((2, 0))]
+
+
+def test_loaded_cache_concurrent_first_use(tmp_path):
+    import sys
+
+    ws = grid_weights(3, 4)
+    path = tmp_path / "cache.json"
+    built = MacdonaldContext(3, 2)
+    expected = [macdonald_coeffs(w, built) for w in ws]
+    save_cache(built, path)
+    ctx = MacdonaldContext(3, 2)
+    load_cache(ctx, path)
+    results = [None] * 8
+
+    def worker(i):
+        results[i] = [macdonald_coeffs(w, ctx) for w in reversed(ws)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for r in results:
+        assert r is not None and r[::-1] == expected
+    assert ctx.rejected == [] and not ctx._loaded

@@ -153,3 +153,35 @@ def test_dominant_weights_up_to():
     assert Weight((0, 0, 0)) in ws3 and Weight((2, 2, 0)) in ws3
     assert all(w.is_dominant for w in ws3)
     assert len(set(ws3)) == len(ws3) == 9
+
+
+def test_weyl_orbit_matches_full_permutation_formula():
+    import itertools
+    import random
+
+    rng = random.Random(5)
+    for n in range(2, 7):
+        for _ in range(15):
+            lam = Weight(rng.randint(-2, 2) for _ in range(n))
+            old = sorted({Weight(p) for p in set(itertools.permutations(lam.coords))},
+                         key=lambda w: w.coords, reverse=True)
+            assert weyl_orbit(lam) == old
+
+
+def test_check_param_messages():
+    from macdpoly.weights import check_param
+
+    check_param(2, "rank parameter n", 2)
+    check_param(3, "r", 1, 3)
+    cases = [
+        ((1, "rank parameter n", 2), "rank parameter n must be an integer >= 2, got 1"),
+        (("2", "deformation parameter k", 1),
+         "deformation parameter k must be an integer >= 1, got '2'"),
+        ((0, "r", 1, 2), "r must satisfy 1 <= r <= n-1, got 0"),
+        ((3, "operator index r", 1, 2),
+         "operator index r must satisfy 1 <= r <= n-1, got 3"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as info:
+            check_param(*args)
+        assert str(info.value) == message

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -59,15 +60,14 @@ def delta_kernel(n: int, k: int) -> GroupAlgebraElement:
 
 
 class MacdonaldContext:
-    """Fixed (n, k) workspace: root data, kernel, and a polynomial cache.
+    """Fixed (n, k) workspace: root data, kernel, and one memo table.
 
-    The cache maps dominant weights to (orbit-sum coefficients, element)
-    pairs.  Reads and insert-if-absent are guarded by a lock, so one
-    context can serve several threads; a value is computed at most once
-    per weight in the common case and extra computations are discarded
-    by setdefault semantics.  Entries read from a cache file wait in
-    ``_loaded`` until their first use checks them; ``rejected`` lists
-    those that failed.  Gram entries and norms use plain setdefault.
+    Every per-context value goes through ``memo``: the polynomials
+    (``"poly"``: dominant weight -> (orbit-sum coefficients, element)),
+    the Gram entries, the norms <P_mu, P_mu> used by the construction,
+    the raw constant-term ``norm`` of each P_lam, ``chi`` and ``chi0``.
+    Entries read from a cache file wait in ``_loaded`` until their first
+    use checks them; ``rejected`` lists those that failed.
     """
 
     def __init__(self, n: int, k: int):
@@ -77,24 +77,31 @@ class MacdonaldContext:
         self.k = k
         self.root_data = RootData(n)
         self.kernel = delta_kernel(n, k)
-        self._polys: dict[Weight, tuple[dict[Weight, ExactScalar], GroupAlgebraElement]] = {}
+        self._memo: dict[tuple[str, object], object] = {}
         self._loaded: dict[Weight, dict[Weight, ExactScalar]] = {}
         self.rejected: list[Weight] = []
-        self._gram: dict[tuple[Weight, Weight], ExactScalar] = {}
-        self._pnorms: dict[Weight, ExactScalar] = {}
         self._lock = threading.Lock()
-        self._chi0: GroupAlgebraElement | None = None
 
     def __repr__(self) -> str:
         return f"MacdonaldContext(n={self.n}, k={self.k})"
 
-    def _cache_get(self, lam: Weight):
-        with self._lock:
-            return self._polys.get(lam)
+    def memo(self, kind: str, key, compute):
+        """The value stored under (kind, key), from compute() on a miss.
 
-    def _cache_put(self, lam: Weight, value):
+        The table is read and written under the lock, but compute() runs
+        outside it, because building P_lam recurses into lower weights.
+        Two threads that miss together both compute; setdefault keeps the
+        first value stored, so every caller sees the same one.  Stored
+        values are never None, and a miss is tested with ``is None``
+        because zero Gram entries are real values.
+        """
         with self._lock:
-            return self._polys.setdefault(lam, value)
+            hit = self._memo.get((kind, key))
+        if hit is None:
+            value = compute()
+            with self._lock:
+                hit = self._memo.setdefault((kind, key), value)
+        return hit
 
 
 def inner_product(f: GroupAlgebraElement, g: GroupAlgebraElement,
@@ -119,16 +126,17 @@ def _gram(a: Weight, b: Weight, ctx: MacdonaldContext) -> ExactScalar:
     both orbits collapses to |O(a)|/n! * sum_{y in O(b)} K[y - a], and
     the entry is symmetric in a and b.
     """
-    key = (a, b) if a.coords >= b.coords else (b, a)
-    hit = ctx._gram.get(key)
-    if hit is not None:
-        return hit
-    a, b = key
-    zero = ExactScalar.zero()
-    total = sum((ctx.kernel.terms.get(y - a, zero) for y in weyl_orbit(b)), zero)
-    # |O(a)|/n! = 1 / prod(multiplicity! of each coordinate value)
-    stabilizer = math.prod(math.factorial(a.coords.count(v)) for v in set(a.coords))
-    return ctx._gram.setdefault(key, total * Fraction(1, stabilizer))
+    if a.coords < b.coords:
+        a, b = b, a
+
+    def compute():
+        zero = ExactScalar.zero()
+        total = sum((ctx.kernel.terms.get(y - a, zero) for y in weyl_orbit(b)), zero)
+        # |O(a)|/n! = 1 / prod(multiplicity! of each coordinate value)
+        stabilizer = math.prod(math.factorial(a.coords.count(v)) for v in set(a.coords))
+        return total * Fraction(1, stabilizer)
+
+    return ctx.memo("gram", (a, b), compute)
 
 
 def _pair_with(lam: Weight, coeffs: dict[Weight, ExactScalar], ctx: MacdonaldContext) -> ExactScalar:
@@ -149,7 +157,7 @@ def _build(lam: Weight, ctx: MacdonaldContext) -> dict[Weight, ExactScalar]:
         if not overlap:
             continue
         # <P_mu, P_mu> = <m_mu, P_mu>: P_mu is orthogonal to its own lower terms
-        pnorm = ctx._pnorms.get(mu) or ctx._pnorms.setdefault(mu, _pair_with(mu, lower, ctx))
+        pnorm = ctx.memo("pnorm", mu, lambda: _pair_with(mu, lower, ctx))
         ratio = overlap / pnorm
         for nu, c in lower.items():
             coeffs[nu] = coeffs.get(nu, ExactScalar.zero()) - ratio * c
@@ -171,9 +179,11 @@ def _poly_entry(lam: Weight, ctx: MacdonaldContext):
         raise ValueError(f"weight rank {lam.rank} does not match context rank {ctx.n}")
     if not lam.is_dominant:
         raise ValueError(f"Macdonald polynomials are indexed by dominant weights, got {lam!r}")
-    hit = ctx._cache_get(lam)
-    if hit is not None:
-        return hit
+    return ctx.memo("poly", lam, lambda: _load_or_build(lam, ctx))
+
+
+def _load_or_build(lam: Weight, ctx: MacdonaldContext):
+    """(coefficients, element) of P_lam: the loaded entry if it checks out, else built."""
     with ctx._lock:
         coeffs = ctx._loaded.pop(lam, None)
     # load_cache checked the unit leading term and triangular support; being
@@ -186,7 +196,7 @@ def _poly_entry(lam: Weight, ctx: MacdonaldContext):
     # orbits of distinct dominant weights are disjoint: no terms to combine
     element = GroupAlgebraElement._raw(
         ctx.n, {w: c for mu, c in coeffs.items() for w in weyl_orbit(mu)})
-    return ctx._cache_put(lam, (coeffs, element))
+    return coeffs, element
 
 
 def chi0(ctx: MacdonaldContext) -> GroupAlgebraElement:
@@ -196,27 +206,34 @@ def chi0(ctx: MacdonaldContext) -> GroupAlgebraElement:
 
     For k = 1 this is the identity.
     """
-    if ctx._chi0 is not None:
-        return ctx._chi0
-    n, k = ctx.n, ctx.k
-    zero = Weight.zero(n)
-    f = GroupAlgebraElement.exponential((k - 1) * ctx.root_data.rho)
-    for alpha in ctx.root_data.positive_roots:
-        for i in range(1, k):
-            f = f * GroupAlgebraElement(n, {zero: 1, -alpha: -q_power(2 * i)})
-    ctx._chi0 = f
-    return f
+    def compute():
+        n, k = ctx.n, ctx.k
+        zero = Weight.zero(n)
+        f = GroupAlgebraElement.exponential((k - 1) * ctx.root_data.rho)
+        for alpha in ctx.root_data.positive_roots:
+            for i in range(1, k):
+                f = f * GroupAlgebraElement(n, {zero: 1, -alpha: -q_power(2 * i)})
+        return f
+
+    return ctx.memo("chi0", (), compute)
 
 
 def chi(lam: Weight, ctx: MacdonaldContext) -> GroupAlgebraElement:
     """chi_lam = P_lam * chi0, the deformed-character normalization."""
-    return macdonald_poly(lam, ctx) * chi0(ctx)
+    return ctx.memo("chi", lam, lambda: macdonald_poly(lam, ctx) * chi0(ctx))
 
 
 def norm(lam: Weight, ctx: MacdonaldContext) -> ExactScalar:
-    """<P_lam, P_lam> computed from first principles (constant term)."""
-    p = macdonald_poly(lam, ctx)
-    return inner_product(p, p, ctx)
+    """<P_lam, P_lam> computed from first principles (constant term).
+
+    Memoized per lam, but never read off the Gram table the construction
+    uses, so it stays an independent check of that construction.
+    """
+    def compute():
+        p = macdonald_poly(lam, ctx)
+        return inner_product(p, p, ctx)
+
+    return ctx.memo("norm", lam, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +245,13 @@ def save_cache(ctx: MacdonaldContext, path: str | Path) -> None:
     """Write every memoized polynomial of this context to a JSON file.
 
     Loaded entries not used yet (so not checked yet) are written back as read.
+    The file is written to a temporary file beside it and moved into place,
+    so a failed or interrupted save leaves the old file whole.
     """
     with ctx._lock:
         snapshot = dict(ctx._loaded)
-        snapshot.update((lam, coeffs) for lam, (coeffs, _) in ctx._polys.items())
+        snapshot.update((lam, entry[0]) for (kind, lam), entry in ctx._memo.items()
+                        if kind == "poly")
     entries = []
     for lam in sorted(snapshot, key=lambda w: w.coords):
         coeffs = snapshot[lam]
@@ -243,7 +263,13 @@ def save_cache(ctx: MacdonaldContext, path: str | Path) -> None:
             ],
         })
     doc = {"n": ctx.n, "k": ctx.k, "entries": entries}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _field(record, key: str, kind: type, where: str):
@@ -305,5 +331,5 @@ def load_cache(ctx: MacdonaldContext, path: str | Path) -> int:
             raise ValueError(f"duplicate cache entry for {str(lam)!r}")
         staged[lam] = coeffs
     with ctx._lock:
-        ctx._loaded.update((lam, c) for lam, c in staged.items() if lam not in ctx._polys)
+        ctx._loaded.update((lam, c) for lam, c in staged.items() if ("poly", lam) not in ctx._memo)
     return len(staged)

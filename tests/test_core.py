@@ -1,6 +1,7 @@
-"""Construction of P_lambda: kernel, inner product, Gram solve, caching."""
+"""Construction of P_lambda: kernel, inner product, Gram table, memo, caching."""
 
 import json
+import os
 import threading
 
 import pytest
@@ -383,3 +384,53 @@ def test_loaded_cache_concurrent_first_use(tmp_path):
     for r in results:
         assert r is not None and r[::-1] == expected
     assert ctx.rejected == [] and not ctx._loaded
+
+
+# ---------------------------------------------------------------------------
+# The per-context memo
+# ---------------------------------------------------------------------------
+
+
+def test_norm_is_memoized(monkeypatch):
+    from macdpoly import core
+
+    calls = []
+    raw = core.inner_product
+    monkeypatch.setattr(core, "inner_product", lambda *a: calls.append(1) or raw(*a))
+    ctx = MacdonaldContext(2, 2)
+    lam = Weight((2, 0))
+    first = norm(lam, ctx)
+    assert len(calls) == 1
+    assert norm(lam, ctx) == first and len(calls) == 1
+
+
+def test_zero_gram_entry_is_memoized(monkeypatch):
+    from macdpoly import core
+
+    calls = []
+    orbit = core.weyl_orbit
+    monkeypatch.setattr(core, "weyl_orbit", lambda w: calls.append(w) or orbit(w))
+    ctx = MacdonaldContext(3, 2)
+    a, b = Weight((1, 0, 0)), Weight((0, 0, 0))
+    assert core._gram(a, b, ctx).is_zero
+    assert len(calls) == 1
+    assert core._gram(b, a, ctx).is_zero
+    assert len(calls) == 1
+
+
+def test_save_cache_failed_replace_keeps_old_file(tmp_path, monkeypatch):
+    ctx = MacdonaldContext(2, 2)
+    macdonald_poly(Weight((1, 0)), ctx)
+    path = tmp_path / "cache.json"
+    save_cache(ctx, path)
+    before = path.read_bytes()
+    macdonald_poly(Weight((2, 0)), ctx)
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        save_cache(ctx, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]

@@ -1,5 +1,7 @@
 """Closed-form evaluators, two-sided verification, report serialization."""
 
+import json
+
 import pytest
 
 from macdpoly.core import macdonald_poly, norm
@@ -131,6 +133,20 @@ def test_verify_error_reports():
     assert "unknown identity" in unknown.error
     bad_rank = verify("norm", {"lambda": Weight((1, 0, 0))}, ctx)
     assert not bad_rank.equal and bad_rank.error
+    # an unknown identity shows its params like any other error report
+    unknown = verify("bogus", {"lambda": Weight((1, 0)), "r": None}, ctx)
+    assert json.loads(unknown.to_json())["params"] == {"n": 2, "k": 2, "lambda": "1,0"}
+    # error reports show every parameter as a string, r included
+    bad_pieri = verify("pieri", {"mu": Weight((1, 0, 0)), "r": 1}, ctx)
+    assert bad_pieri.error and bad_pieri.params == {"n": 2, "k": 2, "mu": "1,0,0", "r": "1"}
+
+
+def test_report_params_are_the_needed_names():
+    ctx = get_context(2, 2)
+    report = verify("pieri", {"lambda": Weight((2, 0)), "mu": Weight((1, 0)), "r": 1}, ctx)
+    assert report.equal
+    assert report.params == {"n": 2, "k": 2, "mu": "1,0", "r": 1}
+    assert type(report.params["r"]) is int
 
 
 def test_report_golden_json_lines():
@@ -181,3 +197,41 @@ def test_verify_grid_identity_filter():
     reports = verify_grid(get_context(2, 1), max_size=2, identities=["norm"])
     assert reports
     assert all(r.identity == "norm" for r in reports)
+
+
+def _old_grid_order(ctx, max_size, names):
+    """(identity, params) in the order of the per-identity loops verify_grid once had."""
+    lams = grid_weights(ctx.n, max_size)
+    rs = range(1, ctx.n)
+    base = {"n": ctx.n, "k": ctx.k}
+    out = []
+    for name in names:
+        if name == "kernel_factorization":
+            out.append((name, base))
+        elif name in ("norm", "special_value"):
+            out += [(name, {**base, "lambda": str(lam)}) for lam in lams]
+        elif name in ("symmetry", "cross_check_45"):
+            out += [(name, {**base, "lambda": str(lam), "mu": str(mu)})
+                    for lam in lams for mu in lams]
+        elif name == "eigenvalue":
+            out += [(name, {**base, "lambda": str(lam), "r": r}) for lam in lams for r in rs]
+        elif name == "pieri":
+            out += [(name, {**base, "mu": str(mu), "r": r}) for mu in lams for r in rs]
+        elif name == "specialized_recurrence":
+            out += [(name, {**base, "lambda": str(lam), "mu": str(mu), "r": r})
+                    for lam in lams for mu in lams for r in rs]
+    return out
+
+
+@pytest.mark.parametrize("names", [None, ["pieri", "norm"]])
+def test_verify_grid_order_matches_nested_loops(names):
+    ctx = get_context(3, 2)
+    reports = verify_grid(ctx, max_size=2, identities=names)
+    expected = _old_grid_order(ctx, 2, names or IDENTITIES)
+    assert [(r.identity, r.params) for r in reports] == expected
+    assert all(r.equal for r in reports)
+
+
+def test_verify_grid_unknown_identity():
+    with pytest.raises(ValueError, match="unknown identity"):
+        verify_grid(get_context(2, 1), max_size=2, identities=["norm", "bogus"])

@@ -134,7 +134,7 @@ def _report_lines(report) -> list:
 
 
 def _cmd_verify(args, ctx) -> int:
-    params = {"n": ctx.n, "k": ctx.k}
+    params = {}
     if args.lam is not None:
         params["lambda"] = parse_weight(args.lam, ctx.n)
     if args.mu is not None:

@@ -221,6 +221,9 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # equal to the hash of the int or Fraction a constant compares equal to
+        if self.is_constant:
+            return hash(self.terms.get(_F0, _F0))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
@@ -539,6 +542,9 @@ class ExactScalar:
         return self.num.terms == other.num.terms and self.den.terms == other.den.terms
 
     def __hash__(self) -> int:
+        # a polynomial scalar compares equal to its numerator, so it hashes like it
+        if self.den.is_one:
+            return hash(self.num)
         return hash((frozenset(self.num.terms.items()), frozenset(self.den.terms.items())))
 
     def __str__(self) -> str:

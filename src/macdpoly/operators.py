@@ -7,9 +7,13 @@ The r-th operator acts on W-invariant elements by
             ( prod_{alpha in R, (alpha,nu) = -1} (q^(2k) - e^alpha)/(1 - e^alpha) ) T_nu f,
 
 where T_nu e^lam = q^(2 (nu, lam)) e^lam and Lambda_r runs over the
-weights of the r-th exterior power.  The apparent denominators cancel:
-everything is summed over a common denominator prod_{alpha in R}(1 - e^alpha)
-and divided out exactly, one root binomial at a time.
+weights of the r-th exterior power.  It is computed as a ratio of Weyl
+alternants, M_r f = a_rho^(-1) sum_nu T_{k nu}(a_rho) T_nu f with
+a_rho = e^rho prod_{alpha>0} (1 - e^(-alpha)) (Macdonald, SFHP VI.3); the
+anti-invariant sum is divided by a_rho exactly, one positive root at a time.
+The normalising power cancels since 2 (nu, rho) = sum_{alpha>0} (alpha, nu):
+the q^(2k (nu, rho)) that T_{k nu} puts on e^rho is q^(k r (r-n)) times the
+q^(2k) pulled out of each positive root with (alpha, nu) = 1.
 """
 
 from __future__ import annotations
@@ -79,27 +83,23 @@ def divide_by_root_binomial(f: GroupAlgebraElement, alpha: Weight) -> GroupAlgeb
 
 def macdonald_operator(f: GroupAlgebraElement, r: int,
                        ctx: MacdonaldContext) -> GroupAlgebraElement:
-    """Apply M_r to a W-invariant element; the result is again W-invariant."""
+    """Apply M_r to a W-invariant element by the alternant ratio above; the result is W-invariant."""
     n, k = ctx.n, ctx.k
     if f.n != n:
         raise ValueError(f"element rank {f.n} does not match context rank {n}")
     check_param(r, "operator index r", 1, n - 1)
     if not f.is_w_invariant():
         raise ValueError("macdonald_operator requires a Weyl-invariant input")
-    roots = ctx.root_data.all_roots
-    zero = Weight.zero(n)
-    q2k = q_power(2 * k)
-    plain = {alpha: GroupAlgebraElement(n, {zero: 1, alpha: -1}) for alpha in roots}
-    shifted = {alpha: GroupAlgebraElement(n, {zero: q2k, alpha: -1}) for alpha in roots}
+    a_rho = GroupAlgebraElement.exponential(ctx.root_data.rho)
+    for alpha in ctx.root_data.positive_roots:
+        a_rho = a_rho * (GroupAlgebraElement.one(n) - GroupAlgebraElement.exponential(-alpha))
     total = GroupAlgebraElement.zero(n)
     for nu in lambda_r_weights(n, r):
-        term = shift_apply(f, nu)
-        for alpha in roots:
-            term = term * (shifted[alpha] if pairing(alpha, nu) == -1 else plain[alpha])
-        total = total + term
-    for alpha in roots:
-        total = divide_by_root_binomial(total, alpha)
-    return total * q_power(k * r * (r - n))
+        total = total + shift_apply(a_rho, k * nu) * shift_apply(f, nu)
+    total = total * GroupAlgebraElement.exponential(-ctx.root_data.rho)
+    for alpha in ctx.root_data.positive_roots:
+        total = divide_by_root_binomial(total, -alpha)
+    return total
 
 
 def eigenvalue(lam: Weight, r: int, ctx: MacdonaldContext) -> ExactScalar:

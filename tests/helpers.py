@@ -8,8 +8,17 @@ these and the library is what the tests are for.
 
 from functools import lru_cache
 
+from macdpoly.algebra import GroupAlgebraElement
 from macdpoly.core import MacdonaldContext, macdonald_poly
-from macdpoly.weights import Weight, dominance_leq, dominant_weights_up_to
+from macdpoly.exact import q_power
+from macdpoly.operators import divide_by_root_binomial, shift_apply
+from macdpoly.weights import (
+    Weight,
+    dominance_leq,
+    dominant_weights_up_to,
+    lambda_r_weights,
+    pairing,
+)
 
 
 @lru_cache(maxsize=None)
@@ -95,3 +104,25 @@ def expand_in_p_basis(f, ctx):
         coeffs[top] = c
         remaining = remaining - macdonald_poly(top, ctx) * c
     return coeffs
+
+
+def macdonald_operator_by_definition(f, r, ctx):
+    """M_r f straight from its definition, as the oracle for the alternant form.
+
+    Multiplies each T_nu f by every root binomial of R, taking
+    (q^(2k) - e^alpha) where (alpha, nu) = -1 and (1 - e^alpha) elsewhere,
+    divides the sum by all of them, and applies q^(k r (r-n)).
+    """
+    n, k = ctx.n, ctx.k
+    roots = ctx.root_data.all_roots
+    zero = Weight.zero(n)
+    total = GroupAlgebraElement.zero(n)
+    for nu in lambda_r_weights(n, r):
+        term = shift_apply(f, nu)
+        for alpha in roots:
+            lead = q_power(2 * k) if pairing(alpha, nu) == -1 else 1
+            term = term * GroupAlgebraElement(n, {zero: lead, alpha: -1})
+        total = total + term
+    for alpha in roots:
+        total = divide_by_root_binomial(total, alpha)
+    return total * q_power(k * r * (r - n))

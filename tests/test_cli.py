@@ -1,13 +1,17 @@
 """End-to-end tests for the command line interface (in-process via run)."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from macdpoly.cli import run
 from macdpoly.identities import VerificationReport
 
 import macdpoly.cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def invoke(capsys, *argv):
@@ -76,6 +80,17 @@ def test_verify_missing_parameter_is_input_error(capsys, tmp_path):
         "--lambda", "2,0", "--cache-dir", str(tmp_path))
     assert code == 2
     assert "error: identity 'symmetry' requires parameter 'mu'" in out
+
+
+def test_verify_error_report_params_are_ints(capsys, tmp_path):
+    # n and k are ints in error reports, as in success reports
+    code, out, _ = invoke(
+        capsys, "verify", "symmetry", "--n", "2", "--k", "1", "--lambda", "1,0",
+        "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "identity 'symmetry' requires parameter 'mu'"
+    assert doc["params"] == {"n": 2, "k": 1, "lambda": "1,0"}
 
 
 def test_verify_failed_identity_exits_one(capsys, tmp_path, monkeypatch):
@@ -223,10 +238,11 @@ def test_missing_subcommand_exits_two(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "macdpoly", "eval", "--n", "2", "--k", "1",
          "--lambda", "0,0", "--mu", "0,0", "--cache-dir", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
 

@@ -250,3 +250,19 @@ def test_q_power_shortcut():
     assert q_power(0) == ExactScalar.one()
     assert q_power(3) * q_power(-3) == ExactScalar.one()
     assert q_power(Fraction(1, 2)) ** 2 == q_power(1)
+
+
+@pytest.mark.parametrize("forms", [
+    [0, Fraction(0), LaurentPoly.zero(), LaurentPoly.constant(0), ExactScalar.zero()],
+    [2, Fraction(2), LaurentPoly.constant(2), ExactScalar(2), ExactScalar.from_rational(2)],
+    [Fraction(1, 2), LaurentPoly.constant(Fraction(1, 2)), ExactScalar(Fraction(1, 2))],
+    [q_power(1).num, q_power(1), ExactScalar(P({1: 1}))],
+], ids=["zero", "two", "half", "q"])
+def test_equal_scalars_hash_equal(forms):
+    # int, Fraction, LaurentPoly and ExactScalar forms of one value compare
+    # equal, so they must hash equal and collapse to one set or dict key
+    for a in forms:
+        for b in forms:
+            assert a == b
+            assert hash(a) == hash(b)
+    assert len(set(forms)) == 1

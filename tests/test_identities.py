@@ -193,6 +193,15 @@ def test_verify_grid_all_pass():
     assert ids == [(r.identity, tuple(sorted(r.params.items()))) for r in reports2]
 
 
+def test_eigenvalue_and_pieri_rank4():
+    # every |lam| <= 2 and r = 1..3 at n = 4
+    for k in (1, 2):
+        reports = verify_grid(get_context(4, k), max_size=2, identities=["eigenvalue", "pieri"])
+        assert len(reports) == 24
+        for r in reports:
+            assert r.equal, r.to_json()
+
+
 def test_verify_grid_identity_filter():
     reports = verify_grid(get_context(2, 1), max_size=2, identities=["norm"])
     assert reports

@@ -17,7 +17,12 @@ from macdpoly.operators import (
 )
 from macdpoly.weights import Weight, fundamental_weight, lambda_r_weights, pairing
 
-from helpers import expand_in_p_basis, get_context, grid_weights
+from helpers import (
+    expand_in_p_basis,
+    get_context,
+    grid_weights,
+    macdonald_operator_by_definition,
+)
 
 E = GroupAlgebraElement.exponential
 
@@ -89,6 +94,24 @@ def test_eigenvalue_closed_form():
         total = total + q_power(2 * pairing(nu, point))
     assert eigenvalue(lam, 2, ctx) == total
     assert eigenvalue(lam, 2, ctx) == char_lambda_r(3, 2).evaluate_at(point)
+
+
+@pytest.mark.parametrize("n,k,max_size", [(2, 1, 4), (2, 2, 4), (2, 3, 4), (3, 1, 2), (3, 2, 2)])
+def test_operator_matches_definition(n, k, max_size):
+    # the alternant form against the definition: every P_lam and every r,
+    # plus m_(2,0,..)^2 + X_r, which is invariant but not an eigenfunction
+    ctx = get_context(n, k)
+    m2 = orbit_sum(Weight((2,) + (0,) * (n - 1)))
+    polys = [macdonald_poly(lam, ctx) for lam in grid_weights(n, max_size)]
+    for r in range(1, n):
+        for f in polys + [m2 * m2 + char_lambda_r(n, r)]:
+            assert macdonald_operator(f, r, ctx) == macdonald_operator_by_definition(f, r, ctx)
+
+
+def test_operator_matches_definition_rank4():
+    ctx = get_context(4, 1)
+    f = orbit_sum(Weight((1, 1, 0, 0))) * orbit_sum(Weight((1, 0, 0, 0))) + char_lambda_r(4, 3)
+    assert macdonald_operator(f, 2, ctx) == macdonald_operator_by_definition(f, 2, ctx)
 
 
 def test_operator_is_linear():

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import ExactScalar, _coerce_scalar, q_power, qint, scalar_to_str
+from .exact import ExactScalar, _coerce_scalar, q_power, qint, scalar_to_str, sum_scalars
 from .weights import Weight, RootData, check_param, pairing, weyl_orbit
 
 __all__ = [
@@ -149,13 +149,10 @@ class GroupAlgebraElement:
         return self.terms.get(Weight.zero(self.n), ExactScalar.zero())
 
     def evaluate_at(self, xi: Weight) -> ExactScalar:
-        """Substitute e^beta -> q^(2 (beta, xi))."""
+        """Substitute e^beta -> q^(2 (beta, xi)), summed over common denominators."""
         if xi.rank != self.n:
             raise ValueError(f"evaluation point has rank {xi.rank}, element has rank {self.n}")
-        total = ExactScalar.zero()
-        for w, c in self.terms.items():
-            total = total + c * q_power(2 * pairing(w, xi))
-        return total
+        return sum_scalars((c, q_power(2 * pairing(w, xi))) for w, c in self.terms.items())
 
     def is_w_invariant(self) -> bool:
         """Invariance under all adjacent-transposition coordinate swaps."""

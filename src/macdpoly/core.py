@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import GroupAlgebraElement
-from .exact import ExactScalar, parse_scalar, q_power, scalar_to_str
+from .exact import ExactScalar, parse_scalar, q_power, scalar_to_str, sum_scalars
 from .weights import (Weight, RootData, check_param, dominance_leq, dominant_below,
                       parse_weight, weyl_orbit)
 
@@ -109,13 +109,9 @@ def inner_product(f: GroupAlgebraElement, g: GroupAlgebraElement,
     """<f, g> = (1/n!) * constant term of f * bar(g) * Delta."""
     if f.n != ctx.n or g.n != ctx.n:
         raise ValueError("inner product arguments must match the context rank")
-    h = f * g.bar()
     kernel = ctx.kernel.terms
-    total = ExactScalar.zero()
-    for w, c in h.terms.items():
-        kc = kernel.get(-w)
-        if kc is not None:
-            total = total + c * kc
+    total = sum_scalars((c, kc) for w, c in (f * g.bar()).terms.items()
+                        if (kc := kernel.get(-w)) is not None)
     return total * Fraction(1, math.factorial(ctx.n))
 
 
@@ -130,8 +126,8 @@ def _gram(a: Weight, b: Weight, ctx: MacdonaldContext) -> ExactScalar:
         a, b = b, a
 
     def compute():
-        zero = ExactScalar.zero()
-        total = sum((ctx.kernel.terms.get(y - a, zero) for y in weyl_orbit(b)), zero)
+        kernel = ctx.kernel.terms
+        total = sum_scalars(kc for y in weyl_orbit(b) if (kc := kernel.get(y - a)) is not None)
         # |O(a)|/n! = 1 / prod(multiplicity! of each coordinate value)
         stabilizer = math.prod(math.factorial(a.coords.count(v)) for v in set(a.coords))
         return total * Fraction(1, stabilizer)
@@ -141,7 +137,7 @@ def _gram(a: Weight, b: Weight, ctx: MacdonaldContext) -> ExactScalar:
 
 def _pair_with(lam: Weight, coeffs: dict[Weight, ExactScalar], ctx: MacdonaldContext) -> ExactScalar:
     """<m_lam, sum_nu c_nu m_nu> on the Gram table."""
-    return sum((c * _gram(lam, nu, ctx) for nu, c in coeffs.items()), ExactScalar.zero())
+    return sum_scalars((c, _gram(lam, nu, ctx)) for nu, c in coeffs.items())
 
 
 def _build(lam: Weight, ctx: MacdonaldContext) -> dict[Weight, ExactScalar]:
@@ -245,13 +241,20 @@ def save_cache(ctx: MacdonaldContext, path: str | Path) -> None:
     """Write every memoized polynomial of this context to a JSON file.
 
     Loaded entries not used yet (so not checked yet) are written back as read.
-    The file is written to a temporary file beside it and moved into place,
-    so a failed or interrupted save leaves the old file whole.
+    Entries already in the file for weights this context does not hold are
+    kept, so runs that share a file add to it; the context's own entries
+    win, and a damaged or mismatched file is simply replaced.  The file is
+    written to a temporary file beside it and moved into place, so a failed
+    or interrupted save leaves the old file whole.
     """
     with ctx._lock:
         snapshot = dict(ctx._loaded)
         snapshot.update((lam, entry[0]) for (kind, lam), entry in ctx._memo.items()
                         if kind == "poly")
+    try:
+        snapshot.update(_read_cache(ctx, path, skip=snapshot.keys()))
+    except (OSError, ValueError):
+        pass
     entries = []
     for lam in sorted(snapshot, key=lambda w: w.coords):
         coeffs = snapshot[lam]
@@ -280,12 +283,16 @@ def _field(record, key: str, kind: type, where: str):
     return value
 
 
-def _parse_entry(entry, ctx: MacdonaldContext) -> tuple[Weight, dict[Weight, ExactScalar]]:
+def _parse_entry(entry, ctx: MacdonaldContext,
+                 skip) -> tuple[Weight, dict[Weight, ExactScalar] | None]:
+    """(lambda, coefficients) of one entry; the coefficients are None if lambda is in skip."""
     text = _field(entry, "lambda", str, "cache entry")
     where = f"cache entry {text!r}"
     lam = parse_weight(text, ctx.n)
     if not lam.is_dominant:
         raise ValueError(f"cache entry for non-dominant weight {text!r}")
+    if lam in skip:
+        return lam, None
     coeffs: dict[Weight, ExactScalar] = {}
     for rec in _field(entry, "coeffs", list, where):
         mu_text = _field(rec, "mu", str, where)
@@ -305,14 +312,12 @@ def _parse_entry(entry, ctx: MacdonaldContext) -> tuple[Weight, dict[Weight, Exa
     return lam, coeffs
 
 
-def load_cache(ctx: MacdonaldContext, path: str | Path) -> int:
-    """Load a cache file into the context, validating every entry.
+def _read_cache(ctx: MacdonaldContext, path: str | Path,
+                skip=()) -> dict[Weight, dict[Weight, ExactScalar]]:
+    """Every entry of a cache file for this context, except those for weights in skip.
 
-    Every entry is parsed before any is committed, so a bad file loads
-    nothing.  Each mu must be dominant and below its lambda, and the
-    leading coefficient must be 1; the values are checked on first use
-    (see _poly_entry).  Returns the number of entries loaded; raises
-    ValueError on any malformed or inconsistent content.
+    The file's shape and the weights of skipped entries are still checked.
+    Raises ValueError on any malformed or inconsistent content.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -324,12 +329,25 @@ def load_cache(ctx: MacdonaldContext, path: str | Path) -> int:
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise ValueError("cache file has no entries list")
-    staged: dict[Weight, dict[Weight, ExactScalar]] = {}
+    staged: dict[Weight, dict[Weight, ExactScalar] | None] = {}
     for entry in entries:
-        lam, coeffs = _parse_entry(entry, ctx)
+        lam, coeffs = _parse_entry(entry, ctx, skip)
         if lam in staged:
             raise ValueError(f"duplicate cache entry for {str(lam)!r}")
         staged[lam] = coeffs
+    return {lam: coeffs for lam, coeffs in staged.items() if coeffs is not None}
+
+
+def load_cache(ctx: MacdonaldContext, path: str | Path) -> int:
+    """Load a cache file into the context, validating every entry.
+
+    Every entry is parsed before any is committed, so a bad file loads
+    nothing.  Each mu must be dominant and below its lambda, and the
+    leading coefficient must be 1; the values are checked on first use
+    (see _poly_entry).  Returns the number of entries loaded; raises
+    ValueError on any malformed or inconsistent content.
+    """
+    staged = _read_cache(ctx, path)
     with ctx._lock:
         ctx._loaded.update((lam, c) for lam, c in staged.items() if ("poly", lam) not in ctx._memo)
     return len(staged)

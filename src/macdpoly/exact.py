@@ -10,6 +10,14 @@ Fractional exponents arise from half-weights and from weight pairings,
 which on A_{n-1} produce denominators dividing 2n.  Internally every
 gcd or division rescales exponents by their common denominator, so the
 actual computation always happens in an ordinary Laurent ring.
+
+Canonicalisation is fraction-free: each side is split into a rational
+content times a primitive integer polynomial, the gcd is a primitive
+polynomial remainder sequence over the integers, both sides are divided
+by it with exact integer long division (exact by Gauss's lemma), and the
+contents come back only when the denominator is made monic.  Sums go
+through ``sum_scalars``, which adds numerators over each distinct
+denominator and canonicalises once per denominator, not once per term.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ __all__ = [
     "ExactScalar",
     "qint",
     "q_power",
+    "sum_scalars",
     "evaluate_limit_q1",
     "poly_to_str",
     "scalar_to_str",
@@ -79,11 +88,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _raw_poly({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({Fraction(0): Fraction(1)})
+        return _raw_poly({_F0: _F1})
 
     @classmethod
     def constant(cls, c: Rat) -> "LaurentPoly":
@@ -285,34 +294,23 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-def _divmod_dense(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Long division of coefficient lists over the rationals."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(num) <= dn:
-        return [], _trim(num)
-    quo = [_F0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            f = c / lead
-            quo[i - dn] = f
-            for j, d in enumerate(den):
-                num[i - dn + j] -= f * d
-    return _trim(quo), _trim(num[:dn])
+def _primitive(coeffs: list[Rat]) -> tuple[Fraction, list[int]]:
+    """Split a trimmed coefficient list into (content, primitive part).
 
-
-def _int_primitive(coeffs: list[Fraction]) -> list[int]:
-    """Clear denominators and content; [] stays []."""
+    The primitive part is a list of coprime integers with a positive
+    leading entry, and content * primitive part gives back the input.
+    An integer list stays in integers: its denominators are all 1.
+    [] splits as (0, []).
+    """
     if not coeffs:
-        return []
+        return _F0, []
     den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = math.gcd(*(abs(c) for c in ints))
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints]
+    num = math.gcd(*(c.numerator for c in coeffs))
+    if coeffs[-1] < 0:
+        num = -num
+    if den == 1:
+        return Fraction(num), [c // num for c in coeffs]
+    return Fraction(num, den), [c.numerator * (den // c.denominator) // num for c in coeffs]
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -343,9 +341,32 @@ def _poly_gcd_int(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _int_primitive([Fraction(c) for c in _prem(a, b)])
-        a, b = b, r
+        a, b = b, _primitive(_prem(a, b))[1]
     return a
+
+
+def _exact_quo_int(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer lists, when b divides a with an integer quotient.
+
+    By Gauss's lemma that holds whenever a primitive b divides an integer
+    a over the rationals.  Any remainder raises ExactDivisionError.
+    """
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            f, r = divmod(c, lead)
+            if r:
+                raise ExactDivisionError("nonzero remainder in exact polynomial division")
+            quo[i - db] = f
+            for j, d in enumerate(b):
+                a[i - db + j] -= f * d
+    if any(a[:db]):
+        raise ExactDivisionError("nonzero remainder in exact polynomial division")
+    return quo
 
 
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -356,17 +377,10 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """
     if a.is_zero and b.is_zero:
         return LaurentPoly.zero()
-    if a.is_zero or b.is_zero:
-        p = b if a.is_zero else a
-        lo, coeffs = _to_dense(p, scale := _exp_lcm(p))
-        lead = coeffs[-1]
-        return _from_dense(0, [c / lead for c in coeffs], scale)
     scale = _exp_lcm(a, b)
-    _, ca = _to_dense(a, scale)
-    _, cb = _to_dense(b, scale)
-    g = _poly_gcd_int(_int_primitive(ca), _int_primitive(cb))
-    lead = Fraction(g[-1])
-    return _from_dense(0, [Fraction(c) / lead for c in g], scale)
+    prims = [_primitive(_to_dense(p, scale)[1])[1] if p else [] for p in (a, b)]
+    g = _poly_gcd_int(*prims)
+    return _from_dense(0, [Fraction(c, g[-1]) for c in g], scale)
 
 
 def exact_div_poly(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -378,10 +392,10 @@ def exact_div_poly(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     scale = _exp_lcm(a, b)
     la, ca = _to_dense(a, scale)
     lb, cb = _to_dense(b, scale)
-    quo, rem = _divmod_dense(ca, cb)
-    if rem:
-        raise ExactDivisionError("nonzero remainder in exact polynomial division")
-    return _from_dense(la - lb, quo, scale)
+    ka, pa = _primitive(ca)
+    kb, pb = _primitive(cb)
+    ratio = ka / kb
+    return _from_dense(la - lb, [ratio * c for c in _exact_quo_int(pa, pb)], scale)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +478,10 @@ class ExactScalar:
         other = _coerce_scalar(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         if self.den.is_one and other.den.is_one:
             return ExactScalar._make(self.num + other.num, LaurentPoly.one())
         return ExactScalar(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -578,17 +596,46 @@ def _canonical_pair(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, La
     scale = _exp_lcm(num, den)
     ln, cn = _to_dense(num, scale)
     ld, cd = _to_dense(den, scale)
-    g = _poly_gcd_int(_int_primitive(cn), _int_primitive(cd))
+    kn, pn = _primitive(cn)
+    kd, pd = _primitive(cd)
+    g = _poly_gcd_int(pn, pd)
     if len(g) > 1:
-        gfrac = [Fraction(c) for c in g]
-        cn, rn = _divmod_dense(cn, gfrac)
-        cd, rd = _divmod_dense(cd, gfrac)
-        assert not rn and not rd, "gcd failed to divide exactly"
-    lead = cd[-1]
-    if lead != 1:
-        cn = [c / lead for c in cn]
-        cd = [c / lead for c in cd]
-    return _from_dense(ln - ld, cn, scale), _from_dense(0, cd, scale)
+        pn = _exact_quo_int(pn, g)
+        pd = _exact_quo_int(pd, g)
+    lead = pd[-1]
+    ratio = kn / (kd * lead)
+    return (_from_dense(ln - ld, [ratio * c for c in pn], scale),
+            _from_dense(0, [Fraction(c, lead) for c in pd], scale))
+
+
+def sum_scalars(items: Iterable[ExactScalar | tuple[ExactScalar, ExactScalar]]) -> ExactScalar:
+    """The sum of the items, each a scalar or a pair (a, b) standing for a * b.
+
+    Canonical denominators are monic with lowest exponent 0, and so is a
+    product of two.  The numerators of all items that share a denominator
+    are added as plain term dicts, with no gcd; then one scalar is
+    canonicalised per distinct denominator and those few are added.  A
+    pair's product is never canonicalised on its own.
+    """
+    groups: dict[frozenset, tuple[LaurentPoly, dict[Fraction, Fraction]]] = {}
+    for item in items:
+        if isinstance(item, ExactScalar):
+            num, den = item.num, item.den
+        else:
+            a, b = item
+            num = a.num * b.num
+            den = a.den if b.den.is_one else b.den if a.den.is_one else a.den * b.den
+        key = frozenset(den.terms.items())
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (den, {})
+        acc = group[1]
+        for e, c in num.terms.items():
+            acc[e] = acc.get(e, _F0) + c
+    total = ExactScalar.zero()
+    for den, acc in groups.values():
+        total = total + ExactScalar(_raw_poly({e: c for e, c in acc.items() if c}), den)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from macdpoly.algebra import GroupAlgebraElement
 from macdpoly.core import MacdonaldContext, macdonald_poly
-from macdpoly.exact import q_power
+from macdpoly.exact import ExactScalar, q_power
 from macdpoly.operators import divide_by_root_binomial, shift_apply
 from macdpoly.weights import (
     Weight,
@@ -104,6 +104,18 @@ def expand_in_p_basis(f, ctx):
         coeffs[top] = c
         remaining = remaining - macdonald_poly(top, ctx) * c
     return coeffs
+
+
+def evaluate_at_term_by_term(f, xi):
+    """f at e^beta -> q^(2 (beta, xi)), canonicalising after every term.
+
+    The oracle for the library's evaluate_at, which sums over common
+    denominators and canonicalises once per denominator.
+    """
+    total = ExactScalar.zero()
+    for w, c in f.terms.items():
+        total = total + c * q_power(2 * pairing(w, xi))
+    return total
 
 
 def macdonald_operator_by_definition(f, r, ctx):

@@ -1,5 +1,7 @@
 """Group algebra elements: products, bar, orbit sums, evaluation, qdim."""
 
+from fractions import Fraction
+
 import pytest
 
 from macdpoly.algebra import (
@@ -9,8 +11,11 @@ from macdpoly.algebra import (
     orbit_sum,
     qdim,
 )
+from macdpoly.core import chi, macdonald_poly
 from macdpoly.exact import ExactScalar, evaluate_limit_q1, q_power, qint
-from macdpoly.weights import Weight, fundamental_weight
+from macdpoly.weights import Weight, fundamental_weight, pairing
+
+from helpers import evaluate_at_term_by_term, get_context, grid_weights
 
 E = GroupAlgebraElement.exponential
 
@@ -99,6 +104,36 @@ def test_evaluate_at_is_ring_homomorphism():
     g = orbit_sum(Weight((1, 1, 0))) - E(Weight((2, 0, 0)))
     assert (f * g).evaluate_at(xi) == f.evaluate_at(xi) * g.evaluate_at(xi)
     assert (f + g).evaluate_at(xi) == f.evaluate_at(xi) + g.evaluate_at(xi)
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (3, 2)])
+def test_evaluate_at_matches_term_by_term(n, k):
+    ctx = get_context(n, k)
+    rho = ctx.root_data.rho
+    points = [mu + k * rho for mu in grid_weights(n, 2)]
+    for lam in grid_weights(n, 3):
+        for f in (macdonald_poly(lam, ctx), chi(lam, ctx)):
+            for xi in points:
+                assert f.evaluate_at(xi) == evaluate_at_term_by_term(f, xi)
+
+
+def test_evaluate_at_mixed_denominators_cancel_to_zero():
+    # coefficients over (1 - q^2), (1 + q) and 1 whose values at xi sum to 0
+    xi = Weight((2, 1, 0))
+    one_minus_q2 = ExactScalar.one() - q_power(2)
+    values = [
+        1 / one_minus_q2,
+        1 / (1 + q_power(1)),
+        (q_power(1) - 2) / one_minus_q2,
+        q_power(Fraction(1, 3)) + 3,
+        -q_power(Fraction(1, 3)) - 3,
+    ]
+    weights = [Weight(c) for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0), (0, 0, 1))]
+    assert sum(values, ExactScalar.zero()).is_zero
+    f = GroupAlgebraElement(3, {
+        w: v * q_power(-2 * pairing(w, xi)) for w, v in zip(weights, values)})
+    assert len(f.terms) == 5
+    assert f.evaluate_at(xi) == evaluate_at_term_by_term(f, xi) == ExactScalar.zero()
 
 
 def test_char_lambda_r():

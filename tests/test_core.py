@@ -434,3 +434,56 @@ def test_save_cache_failed_replace_keeps_old_file(tmp_path, monkeypatch):
         save_cache(ctx, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_save_cache_merges_with_file_on_disk(tmp_path):
+    path = tmp_path / "cache.json"
+    first, second = MacdonaldContext(2, 2), MacdonaldContext(2, 2)
+    for lam in ((1, 0), (2, 0)):
+        macdonald_poly(Weight(lam), first)
+    macdonald_poly(Weight((3, 0)), second)
+    save_cache(first, path)
+    save_cache(second, path)
+    fresh = MacdonaldContext(2, 2)
+    assert load_cache(fresh, path) == 4
+    for lam in ((0, 0), (1, 0), (2, 0), (3, 0)):
+        assert macdonald_poly(Weight(lam), fresh) == macdonald_poly(Weight(lam), get_context(2, 2))
+    assert fresh.rejected == []
+    # saving again in the other order writes the same file
+    other = tmp_path / "other.json"
+    save_cache(second, other)
+    save_cache(first, other)
+    assert other.read_text() == path.read_text()
+
+
+def test_save_cache_own_entries_win(tmp_path):
+    path = tmp_path / "cache.json"
+    ctx = MacdonaldContext(2, 2)
+    macdonald_poly(Weight((2, 0)), ctx)
+    save_cache(ctx, path)
+    good = path.read_text()
+    # a well-formed but wrong lower coefficient on disk for a weight the context holds
+    doc = json.loads(good)
+    assert doc["entries"][-1]["lambda"] == "2,0"
+    assert doc["entries"][-1]["coeffs"][0]["mu"] == "0,0"
+    doc["entries"][-1]["coeffs"][0]["value"] = "7"
+    path.write_text(json.dumps(doc))
+    assert load_cache(MacdonaldContext(2, 2), path) == 2
+    save_cache(ctx, path)
+    assert path.read_text() == good
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"n": 2, "k": 3, "entries": []}',
+    '{"n": 2, "k": 2, "entries": [{"lambda": "2,0"}]}',
+    "[]",
+])
+def test_save_cache_replaces_damaged_or_mismatched_file(tmp_path, text):
+    path = tmp_path / "cache.json"
+    ctx = MacdonaldContext(2, 2)
+    macdonald_poly(Weight((1, 0)), ctx)
+    save_cache(ctx, tmp_path / "clean.json")
+    path.write_text(text)
+    save_cache(ctx, path)
+    assert path.read_text() == (tmp_path / "clean.json").read_text()

@@ -1,5 +1,8 @@
 """Unit tests for the exact scalar arithmetic core."""
 
+import functools
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -18,6 +21,7 @@ from macdpoly.exact import (
     q_power,
     qint,
     scalar_to_str,
+    sum_scalars,
 )
 
 
@@ -266,3 +270,129 @@ def test_equal_scalars_hash_equal(forms):
             assert a == b
             assert hash(a) == hash(b)
     assert len(set(forms)) == 1
+
+
+def test_sum_scalars_empty_and_zeros():
+    assert sum_scalars([]) == ExactScalar.zero()
+    assert sum_scalars(iter(())).is_zero
+    zero = ExactScalar.zero()
+    total = sum_scalars([zero, zero, (zero, qint(3)), (ExactScalar(P({1: 1})), zero)])
+    assert total.is_zero
+    assert total.den.is_one
+
+
+def test_sum_scalars_cancels_within_one_denominator():
+    den = one_minus(2) * P({0: 1, Fraction(1, 2): 3})
+    a = ExactScalar(P({-1: 2, 3: Fraction(1, 3)}), den)
+    b = ExactScalar(P({Fraction(1, 2): -5}), den)
+    assert a.den == b.den
+    assert sum_scalars([a, b, -a, -b]) == ExactScalar.zero()
+    # the group sum is (1 - q^2) / a.den, which canonicalises past the shared factor
+    c = ExactScalar(one_minus(2) - a.num - b.num, a.den)
+    assert sum_scalars([a, b, c]) == ExactScalar(one_minus(2), a.den)
+    assert sum_scalars([a, b, c]) == ExactScalar(-3, P({0: 1, Fraction(1, 2): 3}))
+
+
+def test_sum_scalars_matches_term_by_term():
+    rng = random.Random(5150)
+
+    def rand_scalar():
+        num = P({rng.randint(-3, 3): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 3))})
+        den = rng.choice([LaurentPoly.one(), one_minus(1), one_minus(2), P({0: 2, 1: 1}),
+                          P({Fraction(1, 2): 1, 0: -1})])
+        return ExactScalar(num, den)
+
+    for _ in range(60):
+        items = [rand_scalar() if rng.random() < 0.5 else (rand_scalar(), rand_scalar())
+                 for _ in range(rng.randint(0, 8))]
+        expected = functools.reduce(
+            operator.add,
+            (item if isinstance(item, ExactScalar) else item[0] * item[1] for item in items),
+            ExactScalar.zero())
+        assert sum_scalars(items) == expected
+
+
+def _sympy_canonical(num, den):
+    """Canonical (num terms, den terms) of num/den, reduced by sympy.
+
+    q = x^L, where L clears every exponent denominator; sympy cancels the
+    quotient in x, and the result is normalised as ExactScalar promises:
+    monic denominator with lowest exponent 0.
+    """
+    sympy = pytest.importorskip("sympy")
+    exps = [e for p in (num, den) for e in p.terms]
+    scale = math.lcm(*(e.denominator for e in exps))
+    x = sympy.Symbol("x")
+
+    def to_expr(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x ** int(e * scale)
+                    for e, c in p.terms.items()), sympy.Integer(0))
+
+    top, bottom = sympy.fraction(sympy.cancel(sympy.together(to_expr(num) / to_expr(den))))
+    if top == 0:
+        return {}, {Fraction(0): Fraction(1)}
+    top, bottom = sympy.Poly(top, x), sympy.Poly(bottom, x)
+    lead = Fraction(str(bottom.LC()))
+    low = min(m for (m,), _ in bottom.terms())
+
+    def to_terms(p):
+        return {Fraction(m - low, scale): Fraction(str(c)) / lead for (m,), c in p.terms()}
+
+    return to_terms(top), to_terms(bottom)
+
+
+def test_canonical_form_matches_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(2718)
+    halves = [Fraction(i, 2) for i in range(-4, 5)]
+    thirds = [Fraction(i, 3) for i in range(-3, 4)]
+
+    def rand_poly(exps, size):
+        return P({rng.choice(exps): Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                  for _ in range(size)})
+
+    cases = []
+    for _ in range(80):
+        exps = rng.choice([halves, thirds, halves + thirds])
+        shared = rand_poly(exps, rng.randint(1, 3)) or one_minus(Fraction(1, 2))
+        num, den = rand_poly(exps, rng.randint(0, 4)), rand_poly(exps, rng.randint(1, 4))
+        if den.is_zero:
+            den = one_minus(Fraction(1, 3))
+        kind = rng.randrange(4)
+        if kind == 1:  # cancels to a constant
+            num, den = den * Fraction(rng.randint(-3, 3), rng.randint(1, 3)), den
+        elif kind == 2:  # cancels to zero
+            num = num * shared - shared * num
+        cases.append((num * shared, den * shared))
+    cases += [(one_minus(1), P({Fraction(1, 2): 1, 0: -1})),
+              (P({5: 3}), P({2: Fraction(1, 2)})),
+              (LaurentPoly.zero(), one_minus(3))]
+    kinds = set()
+    for num, den in cases:
+        s = ExactScalar(num, den)
+        want_num, want_den = _sympy_canonical(num, den)
+        assert (s.num.terms, s.den.terms) == (want_num, want_den), (num, den)
+        want = ExactScalar._make(LaurentPoly(want_num), LaurentPoly(want_den))
+        assert scalar_to_str(s) == scalar_to_str(want)
+        kinds.add("zero" if s.is_zero else "constant" if s.is_rational_constant else "quotient")
+    assert kinds == {"zero", "constant", "quotient"}
+
+
+def test_sum_scalars_matches_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(3141)
+    dens = [one_minus(1), P({0: 1, Fraction(1, 2): 1}), one_minus(2) * P({Fraction(1, 3): 2, 0: 1})]
+
+    def rand_scalar():
+        num = P({Fraction(rng.randint(-6, 6), 6): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for _ in range(rng.randint(1, 3))})
+        return ExactScalar(num, rng.choice(dens))
+
+    for _ in range(30):
+        items = [rand_scalar() for _ in range(rng.randint(1, 6))]
+        total = sum_scalars(items)
+        num, den = LaurentPoly.zero(), LaurentPoly.one()
+        for s in items:
+            num, den = num * s.den + s.num * den, den * s.den
+        assert (total.num.terms, total.den.terms) == _sympy_canonical(num, den)

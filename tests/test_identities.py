@@ -202,6 +202,17 @@ def test_eigenvalue_and_pieri_rank4():
             assert r.equal, r.to_json()
 
 
+def test_evaluation_identities_rank4():
+    # symmetry over every pair, special value and norm over every |lam| <= 2 at n = 4
+    size = len(grid_weights(4, 2))
+    for k in (1, 2):
+        reports = verify_grid(get_context(4, k), max_size=2,
+                              identities=["symmetry", "special_value", "norm"])
+        assert len(reports) == size * size + 2 * size
+        for r in reports:
+            assert r.equal, r.to_json()
+
+
 def test_verify_grid_identity_filter():
     reports = verify_grid(get_context(2, 1), max_size=2, identities=["norm"])
     assert reports

@@ -8,7 +8,6 @@ evaluations e^beta -> q^(2 (beta, xi)) live.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .exact import ExactScalar, _coerce_scalar, q_power, qint, scalar_to_str, sum_scalars
@@ -19,6 +18,7 @@ __all__ = [
     "orbit_sum",
     "char_lambda_r",
     "qdim",
+    "root_product",
     "element_to_str",
 ]
 
@@ -230,11 +230,27 @@ def qdim(lam: Weight, n: int | None = None) -> ExactScalar:
     if not lam.is_dominant:
         raise ValueError(f"quantum dimensions are indexed by dominant weights, got {lam!r}")
     rd = RootData(lam.rank)
-    shifted = lam + rd.rho
+    return root_product(rd.positive_roots, lam + rd.rho, rd.rho, (0,), (0,), qint)
+
+
+def root_product(roots, top: Weight, bottom: Weight, up, down, factor) -> ExactScalar:
+    """The product over alpha in roots of
+
+        prod_{s in up} factor((alpha, top) + s) / prod_{s in down} factor((alpha, bottom) + s),
+
+    with factor qint or one_minus_q2.  A root pairs to an integer with every
+    weight, (e_i - e_j, w) = w_i - w_j.  Each root's numerator factors are
+    multiplied as polynomials, then its denominator factors, and the running
+    value takes one multiply and one exact division per root.
+    """
     val = ExactScalar.one()
-    for alpha in rd.positive_roots:
-        a = pairing(alpha, shifted)
-        b = pairing(alpha, rd.rho)
-        assert a.denominator == 1 and b.denominator == 1
-        val = val * qint(int(a)) / qint(int(b))
+    for alpha in roots:
+        a = int(pairing(alpha, top))
+        b = int(pairing(alpha, bottom))
+        num = den = ExactScalar.one()
+        for s in up:
+            num = num * factor(a + s)
+        for s in down:
+            den = den * factor(b + s)
+        val = val * num / den
     return val

@@ -60,9 +60,10 @@ def delta_kernel(n: int, k: int) -> GroupAlgebraElement:
 
 
 class MacdonaldContext:
-    """Fixed (n, k) workspace: root data, kernel, and one memo table.
+    """Fixed (n, k) workspace: root data and one memo table.
 
-    Every per-context value goes through ``memo``: the polynomials
+    Every per-context value goes through ``memo``: the kernel (built on
+    first use), the polynomials
     (``"poly"``: dominant weight -> (orbit-sum coefficients, element)),
     the Gram entries, the norms <P_mu, P_mu> used by the construction,
     the raw constant-term ``norm`` of each P_lam, ``chi`` and ``chi0``.
@@ -76,7 +77,6 @@ class MacdonaldContext:
         self.n = n
         self.k = k
         self.root_data = RootData(n)
-        self.kernel = delta_kernel(n, k)
         self._memo: dict[tuple[str, object], object] = {}
         self._loaded: dict[Weight, dict[Weight, ExactScalar]] = {}
         self.rejected: list[Weight] = []
@@ -84,6 +84,11 @@ class MacdonaldContext:
 
     def __repr__(self) -> str:
         return f"MacdonaldContext(n={self.n}, k={self.k})"
+
+    @property
+    def kernel(self) -> GroupAlgebraElement:
+        """delta_kernel(n, k), built on first use: evaluation, operators and Pieri never need it."""
+        return self.memo("kernel", (), lambda: delta_kernel(self.n, self.k))
 
     def memo(self, kind: str, key, compute):
         """The value stored under (kind, key), from compute() on a miss.

@@ -34,6 +34,7 @@ __all__ = [
     "LaurentPoly",
     "ExactScalar",
     "qint",
+    "one_minus_q2",
     "q_power",
     "sum_scalars",
     "evaluate_limit_q1",
@@ -467,11 +468,6 @@ class ExactScalar:
     def __bool__(self) -> bool:
         return not self.num.is_zero
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational_constant:
-            raise ValueError(f"{self} is not a rational constant")
-        return self.num.terms.get(_F0, _F0)
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
@@ -661,6 +657,11 @@ def qint(m: int) -> ExactScalar:
         sign, m = -1, -m
     terms = {Fraction(m - 1 - 2 * j): Fraction(sign) for j in range(m)}
     return ExactScalar._make(_raw_poly(terms), LaurentPoly.one())
+
+
+def one_minus_q2(x: int) -> ExactScalar:
+    """1 - q^(2x) as a scalar (zero when x = 0)."""
+    return ExactScalar._make(LaurentPoly.one() - LaurentPoly.q_term(2 * x), LaurentPoly.one())
 
 
 def evaluate_limit_q1(s: ExactScalar) -> Fraction:

@@ -2,10 +2,10 @@
 
 Each verifier computes a first-principles side (constant terms,
 evaluations of the constructed P_lam, operator application) and a
-closed-form side (products of q-integers or cyclotomic-style factors) by
-disjoint code paths, then compares canonical forms exactly.  Reports
-carry both sides as canonical strings even on success, for golden-file
-regressions.
+closed-form side (a product over roots of q-integers or of 1 - q^(2x),
+one call to algebra.root_product) by disjoint code paths, then compares
+canonical forms exactly.  Reports carry both sides as canonical strings
+even on success, for golden-file regressions.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
-from .algebra import GroupAlgebraElement, char_lambda_r, element_to_str, qdim
+from .algebra import GroupAlgebraElement, char_lambda_r, element_to_str, qdim, root_product
 from .core import MacdonaldContext, chi, chi0, delta_kernel, macdonald_poly, norm
-from .exact import ExactScalar, LaurentPoly, q_power, qint, scalar_to_str
+from .exact import ExactScalar, one_minus_q2, q_power, qint, scalar_to_str
 from .operators import eigenvalue, macdonald_operator, pieri_expand, specialized_recurrence_sides
 from .weights import Weight, RootData, dominant_weights_up_to, pairing
 
@@ -36,17 +35,6 @@ __all__ = [
 ]
 
 
-def _one_minus_q(exponent) -> ExactScalar:
-    """1 - q^exponent as a scalar."""
-    return ExactScalar(LaurentPoly({Fraction(0): 1}) - LaurentPoly.q_term(exponent))
-
-
-def _int_pairing(a: Weight, b: Weight) -> int:
-    v = pairing(a, b)
-    assert v.denominator == 1, f"expected integral pairing, got {v}"
-    return int(v)
-
-
 def norm_rhs(lam: Weight, ctx: MacdonaldContext) -> ExactScalar:
     """Closed form of <P_lam, P_lam>:
 
@@ -58,12 +46,8 @@ def norm_rhs(lam: Weight, ctx: MacdonaldContext) -> ExactScalar:
     if not lam.is_dominant:
         raise ValueError(f"norm_rhs needs a dominant weight, got {lam!r}")
     shifted = lam + ctx.k * ctx.root_data.rho
-    val = ExactScalar.one()
-    for alpha in ctx.root_data.positive_roots:
-        a = 2 * _int_pairing(alpha, shifted)
-        for i in range(1, ctx.k):
-            val = val * _one_minus_q(a + 2 * i) / _one_minus_q(a - 2 * i)
-    return val
+    return root_product(ctx.root_data.positive_roots, shifted, shifted,
+                        range(1, ctx.k), range(-1, -ctx.k, -1), one_minus_q2)
 
 
 def shapovalov_denominator(lam: Weight, k: int, n: int) -> ExactScalar:
@@ -76,12 +60,8 @@ def shapovalov_denominator(lam: Weight, k: int, n: int) -> ExactScalar:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     rd = RootData(n)
     shifted = lam + rd.rho
-    val = ExactScalar.one()
-    for alpha in rd.positive_roots:
-        a = 2 * _int_pairing(alpha, shifted)
-        for i in range(1, k + 1):
-            val = val * _one_minus_q(a - 2 * i)
-    return val
+    return root_product(rd.positive_roots, shifted, shifted,
+                        range(-1, -k - 1, -1), (), one_minus_q2)
 
 
 def cor38_ratio(lam: Weight, k: int, n: int) -> ExactScalar:
@@ -95,16 +75,14 @@ def cor38_ratio(lam: Weight, k: int, n: int) -> ExactScalar:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     rd = RootData(n)
     shifted = lam + rd.rho
-    val = ExactScalar.one()
     for alpha in rd.positive_roots:
-        a = _int_pairing(alpha, shifted)
-        for i in range(1, k + 1):
-            if a == i:
-                raise ValueError(
-                    f"vanishing denominator factor at alpha = {alpha}, i = {i}: "
-                    f"(alpha, lam + rho) = {a}")
-            val = val * _one_minus_q(2 * a + 2 * i) / _one_minus_q(2 * a - 2 * i)
-    return val
+        a = pairing(alpha, shifted)
+        if 1 <= a <= k:
+            raise ValueError(
+                f"vanishing denominator factor at alpha = {alpha}, i = {a}: "
+                f"(alpha, lam + rho) = {a}")
+    return root_product(rd.positive_roots, shifted, shifted,
+                        range(1, k + 1), range(-1, -k - 1, -1), one_minus_q2)
 
 
 def symmetry_rhs(lam: Weight, mu: Weight, ctx: MacdonaldContext) -> ExactScalar:
@@ -115,17 +93,9 @@ def symmetry_rhs(lam: Weight, mu: Weight, ctx: MacdonaldContext) -> ExactScalar:
     """
     if not lam.is_dominant or not mu.is_dominant:
         raise ValueError("symmetry_rhs needs dominant weights")
-    k = ctx.k
-    rho = ctx.root_data.rho
-    lam_s = lam + k * rho
-    mu_s = mu + k * rho
-    val = ExactScalar.one()
-    for alpha in ctx.root_data.positive_roots:
-        am = _int_pairing(alpha, mu_s)
-        al = _int_pairing(alpha, lam_s)
-        for i in range(k):
-            val = val * qint(am + i) / qint(al + i)
-    return val
+    k, rho = ctx.k, ctx.root_data.rho
+    return root_product(ctx.root_data.positive_roots, mu + k * rho, lam + k * rho,
+                        range(k), range(k), qint)
 
 
 def symmetry_rhs_exponential(lam: Weight, mu: Weight, ctx: MacdonaldContext) -> ExactScalar:
@@ -136,17 +106,10 @@ def symmetry_rhs_exponential(lam: Weight, mu: Weight, ctx: MacdonaldContext) -> 
     """
     if not lam.is_dominant or not mu.is_dominant:
         raise ValueError("symmetry_rhs_exponential needs dominant weights")
-    k = ctx.k
-    rho = ctx.root_data.rho
-    lam_s = lam + k * rho
-    mu_s = mu + k * rho
-    val = q_power(2 * k * pairing(rho, lam - mu))
-    for alpha in ctx.root_data.positive_roots:
-        am = 2 * _int_pairing(alpha, mu_s)
-        al = 2 * _int_pairing(alpha, lam_s)
-        for i in range(k):
-            val = val * _one_minus_q(am + 2 * i) / _one_minus_q(al + 2 * i)
-    return val
+    k, rho = ctx.k, ctx.root_data.rho
+    return q_power(2 * k * pairing(rho, lam - mu)) * root_product(
+        ctx.root_data.positive_roots, mu + k * rho, lam + k * rho, range(k), range(k),
+        one_minus_q2)
 
 
 def special_value_rhs(lam: Weight, ctx: MacdonaldContext) -> ExactScalar:
@@ -156,32 +119,18 @@ def special_value_rhs(lam: Weight, ctx: MacdonaldContext) -> ExactScalar:
     """
     if not lam.is_dominant:
         raise ValueError(f"special_value_rhs needs a dominant weight, got {lam!r}")
-    k = ctx.k
-    rho = ctx.root_data.rho
-    lam_s = lam + k * rho
-    val = ExactScalar.one()
-    for alpha in ctx.root_data.positive_roots:
-        al = _int_pairing(alpha, lam_s)
-        ar = k * _int_pairing(alpha, rho)
-        for i in range(k):
-            val = val * qint(al + i) / qint(ar + i)
-    return val
+    k, rho = ctx.k, ctx.root_data.rho
+    return root_product(ctx.root_data.positive_roots, lam + k * rho, k * rho,
+                        range(k), range(k), qint)
 
 
 def special_value_rhs_exponential(lam: Weight, ctx: MacdonaldContext) -> ExactScalar:
     """The equivalent printed form with an explicit q-power prefactor."""
     if not lam.is_dominant:
         raise ValueError(f"special_value_rhs_exponential needs a dominant weight, got {lam!r}")
-    k = ctx.k
-    rho = ctx.root_data.rho
-    lam_s = lam + k * rho
-    val = q_power(-2 * k * pairing(rho, lam))
-    for alpha in ctx.root_data.positive_roots:
-        al = 2 * _int_pairing(alpha, lam_s)
-        ar = 2 * k * _int_pairing(alpha, rho)
-        for i in range(k):
-            val = val * _one_minus_q(al + 2 * i) / _one_minus_q(ar + 2 * i)
-    return val
+    k, rho = ctx.k, ctx.root_data.rho
+    return q_power(-2 * k * pairing(rho, lam)) * root_product(
+        ctx.root_data.positive_roots, lam + k * rho, k * rho, range(k), range(k), one_minus_q2)
 
 
 # ---------------------------------------------------------------------------

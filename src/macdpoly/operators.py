@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import GroupAlgebraElement, char_lambda_r
+from .algebra import GroupAlgebraElement, char_lambda_r, root_product
 from .core import MacdonaldContext, macdonald_poly
 from .exact import ExactDivisionError, ExactScalar, q_power, qint
 from .weights import Weight, check_param, lambda_r_weights, pairing
@@ -136,14 +136,8 @@ def pieri_coefficient(mu: Weight, nu: Weight, ctx: MacdonaldContext) -> ExactSca
     if not (mu + nu).is_dominant:
         raise ValueError(f"mu + nu = {(mu + nu)!r} is not dominant; the term drops out")
     shifted = mu + k * ctx.root_data.rho
-    val = ExactScalar.one()
-    for alpha in ctx.root_data.positive_roots:
-        if pairing(alpha, nu) == -1:
-            a = pairing(alpha, shifted)
-            assert a.denominator == 1
-            a = int(a)
-            val = val * qint(a + k - 1) * qint(a - k) / (qint(a) * qint(a - 1))
-    return val
+    roots = [alpha for alpha in ctx.root_data.positive_roots if pairing(alpha, nu) == -1]
+    return root_product(roots, shifted, shifted, (k - 1, -k), (0, -1), qint)
 
 
 @dataclass(frozen=True)
@@ -191,13 +185,8 @@ def specialized_recurrence_sides(lam: Weight, mu: Weight, r: int,
     for nu in lambda_r_weights(n, r):
         if not (mu + nu).is_dominant:
             continue
-        coeff = ExactScalar.one()
-        for alpha in ctx.root_data.all_roots:
-            if pairing(alpha, nu) == -1:
-                a = pairing(shifted, alpha)
-                assert a.denominator == 1
-                a = int(a)
-                coeff = coeff * qint(a - k) / qint(a)
+        roots = [alpha for alpha in ctx.root_data.all_roots if pairing(alpha, nu) == -1]
+        coeff = root_product(roots, shifted, shifted, (-k,), (0,), qint)
         lhs = lhs + coeff * p.evaluate_at(mu + nu + k * rho)
     rhs = eigenvalue(lam, r, ctx) * p.evaluate_at(shifted)
     return lhs, rhs

@@ -10,10 +10,11 @@ from macdpoly.algebra import (
     element_to_str,
     orbit_sum,
     qdim,
+    root_product,
 )
 from macdpoly.core import chi, macdonald_poly
-from macdpoly.exact import ExactScalar, evaluate_limit_q1, q_power, qint
-from macdpoly.weights import Weight, fundamental_weight, pairing
+from macdpoly.exact import ExactScalar, evaluate_limit_q1, one_minus_q2, parse_scalar, q_power, qint
+from macdpoly.weights import RootData, Weight, fundamental_weight, pairing
 
 from helpers import evaluate_at_term_by_term, get_context, grid_weights
 
@@ -161,6 +162,26 @@ def test_qdim_palindromic():
     for coords in [(1, 0), (3, 0), (1, 1, 0), (2, 1, 0), (4, 0, 0)]:
         d = qdim(Weight(coords))
         assert d == ExactScalar(d.num.conj(), d.den.conj())
+
+
+def test_root_product_empty_and_vanishing():
+    roots = RootData(3).positive_roots
+    top, bottom = Weight((2, 1, 0)), Weight((1, 0, 0))
+    for factor in (qint, one_minus_q2):
+        assert root_product(roots, top, bottom, (), (), factor) == ExactScalar.one()
+        assert root_product((), top, bottom, (0, 1), (0, 1), factor) == ExactScalar.one()
+        # (e_1 - e_2, top) = 1, so the s = -1 factor is factor(0) = 0
+        assert root_product(roots, top, bottom, (0, -1), (1,), factor).is_zero
+
+
+def test_root_product_pairs_through_canonical_coordinates():
+    # e_1 - e_3 is stored as (2, 1, 0); its pairing with (1, 0, 0) is 1, not 2
+    alpha = Weight((1, 0, -1))
+    assert alpha.coords == (2, 1, 0)
+    got = root_product([alpha], Weight((1, 0, 0)), Weight((0, 0, 0)), (0, 2), (-3,), qint)
+    assert got == qint(1) * qint(3) / qint(-3)
+    got = root_product([alpha], Weight((1, 0, 0)), Weight((1, 0, 0)), (1,), (-2,), one_minus_q2)
+    assert got == parse_scalar("1 - 1*q^(4)") / parse_scalar("1 - 1*q^(-2)")
 
 
 def test_records_round_trip():

@@ -34,6 +34,34 @@ def test_context_validation():
         MacdonaldContext(2, "2")
 
 
+def test_kernel_built_on_first_use(monkeypatch):
+    import macdpoly.core as core
+    from macdpoly.operators import eigenvalue, pieri_coefficient, pieri_expand
+
+    def refuse(n, k):
+        raise AssertionError("kernel built")
+
+    monkeypatch.setattr(core, "delta_kernel", refuse)
+    ctx = MacdonaldContext(5, 2)
+    mu = Weight((1, 0, 0, 0, 0))
+    terms = pieri_expand(mu, 2, ctx)
+    assert [t.nu for t in terms] == [Weight((1, 1, 0, 0, 0)), Weight((0, 1, 1, 0, 0))]
+    assert pieri_coefficient(mu, terms[0].nu, ctx) == terms[0].coefficient
+    assert eigenvalue(mu, 1, ctx)
+    with pytest.raises(AssertionError, match="kernel built"):
+        ctx.kernel
+
+    calls = []
+    monkeypatch.setattr(core, "delta_kernel", lambda n, k: calls.append((n, k)) or delta_kernel(n, k))
+    ctx = MacdonaldContext(2, 2)
+    assert calls == []
+    norm(Weight((0, 0)), ctx)
+    norm(Weight((1, 0)), ctx)
+    core._gram(Weight((2, 0)), Weight((0, 0)), ctx)
+    assert calls == [(2, 2)]
+    assert ctx.kernel == delta_kernel(2, 2)
+
+
 def test_delta_kernel_rank2_k1():
     d = delta_kernel(2, 1)
     alpha = Weight((1, -1))

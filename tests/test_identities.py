@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from macdpoly.algebra import qdim
 from macdpoly.core import macdonald_poly, norm
-from macdpoly.exact import ExactScalar, parse_scalar, qint, scalar_to_str
+from macdpoly.exact import ExactScalar, evaluate_limit_q1, parse_scalar, qint, scalar_to_str
 from macdpoly.identities import (
     IDENTITIES,
     cor38_ratio,
@@ -87,6 +88,34 @@ def test_special_value_two_printed_forms_agree():
         ctx = get_context(n, k)
         for lam in grid_weights(n, 3):
             assert special_value_rhs(lam, ctx) == special_value_rhs_exponential(lam, ctx)
+
+
+def _weyl_dimension(lam):
+    """prod_{i<j} (lam_i - lam_j + j - i) / (j - i), in integers."""
+    c = lam.coords
+    pairs = [(i, j) for i in range(len(c)) for j in range(i + 1, len(c))]
+    num = den = 1
+    for i, j in pairs:
+        num *= c[i] - c[j] + j - i
+        den *= j - i
+    assert num % den == 0
+    return num // den
+
+
+def test_closed_forms_rank4():
+    # every dominant lam, mu with |.| <= 2 at n = 4
+    ws = grid_weights(4, 2)
+    assert {str(lam): _weyl_dimension(lam) for lam in ws} == {
+        "0,0,0,0": 1, "1,0,0,0": 4, "1,1,0,0": 6, "2,0,0,0": 10}
+    for k in (1, 2):
+        ctx = get_context(4, k)
+        rho = ctx.root_data.rho
+        for lam in ws:
+            for mu in ws:
+                assert symmetry_rhs(lam, mu, ctx) == symmetry_rhs_exponential(lam, mu, ctx)
+            assert special_value_rhs(lam, ctx) == special_value_rhs_exponential(lam, ctx)
+            assert cor38_ratio(lam + (k - 1) * rho, k - 1, 4) == norm_rhs(lam, ctx)
+            assert evaluate_limit_q1(qdim(lam)) == _weyl_dimension(lam)
 
 
 def test_special_value_identity():

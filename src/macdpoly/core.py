@@ -20,6 +20,7 @@ is checked against the Gram table on its first use.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -250,34 +251,38 @@ def save_cache(ctx: MacdonaldContext, path: str | Path) -> None:
     kept, so runs that share a file add to it; the context's own entries
     win, and a damaged or mismatched file is simply replaced.  The file is
     written to a temporary file beside it and moved into place, so a failed
-    or interrupted save leaves the old file whole.
+    or interrupted save leaves the old file whole.  An exclusive flock on
+    ``<file>.lock``, held from the read through the move, keeps saves from
+    other processes or threads from dropping each other's entries.
     """
     with ctx._lock:
         snapshot = dict(ctx._loaded)
         snapshot.update((lam, entry[0]) for (kind, lam), entry in ctx._memo.items()
                         if kind == "poly")
-    try:
-        snapshot.update(_read_cache(ctx, path, skip=snapshot.keys()))
-    except (OSError, ValueError):
-        pass
-    entries = []
-    for lam in sorted(snapshot, key=lambda w: w.coords):
-        coeffs = snapshot[lam]
-        entries.append({
-            "lambda": str(lam),
-            "coeffs": [
-                {"mu": str(mu), "value": scalar_to_str(coeffs[mu])}
-                for mu in sorted(coeffs, key=lambda w: w.coords)
-            ],
-        })
-    doc = {"n": ctx.n, "k": ctx.k, "entries": entries}
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with open(path.with_name(f"{path.name}.lock"), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        try:
+            snapshot.update(_read_cache(ctx, path, skip=snapshot.keys()))
+        except (OSError, ValueError):
+            pass
+        entries = []
+        for lam in sorted(snapshot, key=lambda w: w.coords):
+            coeffs = snapshot[lam]
+            entries.append({
+                "lambda": str(lam),
+                "coeffs": [
+                    {"mu": str(mu), "value": scalar_to_str(coeffs[mu])}
+                    for mu in sorted(coeffs, key=lambda w: w.coords)
+                ],
+            })
+        doc = {"n": ctx.n, "k": ctx.k, "entries": entries}
+        try:
+            tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _field(record, key: str, kind: type, where: str):

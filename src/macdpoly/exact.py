@@ -18,6 +18,13 @@ by it with exact integer long division (exact by Gauss's lemma), and the
 contents come back only when the denominator is made monic.  Sums go
 through ``sum_scalars``, which adds numerators over each distinct
 denominator and canonicalises once per denominator, not once per term.
+
+Arithmetic on canonical scalars skips every gcd it can prove useless.
+Addition is gcd-first (Henrici; Knuth, TAOCP vol. 2, 4.5.1): with
+g = gcd(d1, d2) and e_i = d_i / g, the numerator n1*e2 + n2*e1 shares
+no factor with e1*e2, so it is reduced against g alone, and not at all
+when g = 1.  Multiplying or dividing by a unit c*q^e (a rational
+constant included) keeps the other operand's denominator as it is.
 """
 
 from __future__ import annotations
@@ -478,9 +485,20 @@ class ExactScalar:
             return self
         if not self.num:
             return other
-        if self.den.is_one and other.den.is_one:
-            return ExactScalar._make(self.num + other.num, LaurentPoly.one())
-        return ExactScalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        # gcd-first (see the module docstring); scalars with different
+        # canonical denominators never sum to zero, so no zero check below
+        if d1.terms == d2.terms:
+            if d1.is_one:
+                return ExactScalar._make(n1 + n2, d1)
+            return ExactScalar(n1 + n2, d1)
+        g = LaurentPoly.one() if d1.is_one or d2.is_one else laurent_gcd(d1, d2)
+        if g.is_one:
+            return ExactScalar._make(n1 * d2 + n2 * d1, d1 * d2)
+        e1 = exact_div_poly(d1, g)
+        e2 = exact_div_poly(d2, g)
+        part = ExactScalar(n1 * e2 + n2 * e1, g)
+        return ExactScalar._make(part.num, part.den * e1 * e2)
 
     __radd__ = __add__
 
@@ -503,8 +521,12 @@ class ExactScalar:
         other = _coerce_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one and other.den.is_one:
-            return ExactScalar._make(self.num * other.num, LaurentPoly.one())
+        # a unit c*q^e keeps the other factor's denominator canonical
+        if other.den.is_one:
+            if self.den.is_one or other.num.is_monomial:
+                return ExactScalar._make(self.num * other.num, self.den)
+        elif self.den.is_one and self.num.is_monomial:
+            return ExactScalar._make(self.num * other.num, other.den)
         return ExactScalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -515,6 +537,9 @@ class ExactScalar:
             return NotImplemented
         if other.num.is_zero:
             raise ZeroDivisionError("exact scalar division by zero")
+        if other.den.is_one and other.num.is_monomial:
+            (e, c), = other.num.terms.items()
+            return ExactScalar._make(self.num * _raw_poly({-e: _F1 / c}), self.den)
         return ExactScalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):

@@ -1,24 +1,29 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own closed forms:
-Kostka numbers come from brute-force tableau counting, and P-basis
-expansions come from greedy triangular peeling.  Agreement between
+Kostka numbers come from brute-force tableau counting, P-basis
+expansions come from greedy triangular peeling, and Macdonald
+coefficients come from Macdonald's tableau formula.  Agreement between
 these and the library is what the tests are for.
 """
 
+import itertools
 from functools import lru_cache
 
 from macdpoly.algebra import GroupAlgebraElement
 from macdpoly.core import MacdonaldContext, macdonald_poly
-from macdpoly.exact import ExactScalar, q_power
+from macdpoly.exact import ExactScalar, LaurentPoly, q_power, sum_scalars
 from macdpoly.operators import divide_by_root_binomial, shift_apply
 from macdpoly.weights import (
     Weight,
     dominance_leq,
+    dominant_below,
     dominant_weights_up_to,
     lambda_r_weights,
     pairing,
 )
+
+GRID_NK = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
 
 
 @lru_cache(maxsize=None)
@@ -138,3 +143,95 @@ def macdonald_operator_by_definition(f, r, ctx):
     for alpha in roots:
         total = divide_by_root_binomial(total, alpha)
     return total * q_power(k * r * (r - n))
+
+
+def add_by_cross_multiplication(a, b):
+    """a + b as (n1 d2 + n2 d1) / (d1 d2), canonicalised with a full gcd.
+
+    The oracle for ExactScalar.__add__, which takes gcd(d1, d2) first.
+    """
+    return ExactScalar(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def mul_by_canonicalisation(a, b):
+    """a * b, canonicalised with a full gcd: the oracle for the unit fast path."""
+    return ExactScalar(a.num * b.num, a.den * b.den)
+
+
+def div_by_canonicalisation(a, b):
+    """a / b, canonicalised with a full gcd: the oracle for the unit fast path."""
+    return ExactScalar(a.num * b.den, a.den * b.num)
+
+
+def _b(shape, conj, i, j, k):
+    """Macdonald's b_shape(s) at the box s = (i, j), with (q, t) = (q^2, q^(2k)).
+
+    b(s) = (1 - q^a t^(l+1)) / (1 - q^(a+1) t^l) for the arm a and leg l
+    of s in the shape, and 1 for a box outside it.
+    """
+    if i >= len(shape) or j >= shape[i]:
+        return ExactScalar.one()
+    arm = shape[i] - j - 1
+    leg = conj[j] - i - 1
+    return ExactScalar(LaurentPoly({0: 1, 2 * (arm + k * (leg + 1)): -1}),
+                       LaurentPoly({0: 1, 2 * (arm + 1 + k * leg): -1}))
+
+
+def _conjugate(shape):
+    return [sum(1 for r in shape if r > j) for j in range(shape[0] if shape else 0)]
+
+
+def _psi(big, small, k):
+    """psi_{big/small} for a horizontal strip, SFHP VI (6.24)(ii).
+
+    The product of b_small(s) / b_big(s) over the boxes s that lie in a row
+    meeting the strip but not in a column meeting it.
+    """
+    small = small + (0,) * (len(big) - len(small))
+    rows = [i for i in range(len(big)) if big[i] > small[i]]
+    cols = {j for i in rows for j in range(small[i], big[i])}
+    cb, cs = _conjugate(big), _conjugate(small)
+    out = ExactScalar.one()
+    for i in rows:
+        for j in range(big[i]):
+            if j not in cols:
+                out = out * _b(small, cs, i, j, k) / _b(big, cb, i, j, k)
+    return out
+
+
+def _horizontal_strips(shape, size, max_rows):
+    """Every partition nu of at most max_rows parts with shape/nu a horizontal strip of `size` boxes."""
+    below = shape[1:] + (0,)
+    for nu in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(below, shape))):
+        if sum(shape) - sum(nu) == size and not any(nu[max_rows:]):
+            yield tuple(x for x in nu if x)
+
+
+def macdonald_coeffs_by_tableaux(lam, n, k):
+    """[m_mu] P_lam for every dominant mu <= lam, from Macdonald's tableau formula.
+
+    SFHP VI (7.13'): P_lam = sum_T psi_T x^T over the semistandard tableaux T
+    of shape lam, so [m_mu] P_lam is the sum of psi_T over the tableaux of
+    content mu.  psi_T is the product of psi over T's horizontal strips
+    (the boxes holding 1, then 2, ...).  Macdonald's (q, t) are (q^2, q^(2k))
+    here.  A lower weight mu is lifted by (|lam| - |mu|)/n before it is read
+    as a content.  Nothing here touches the kernel or the Gram recursion.
+    """
+    shape = tuple(x for x in lam.coords if x)
+    total = sum(shape)
+
+    @lru_cache(maxsize=None)
+    def fill(sub, content):
+        # sum of psi_T over the tableaux of shape sub with entries 1..len(content)
+        if not content:
+            return ExactScalar.zero() if sub else ExactScalar.one()
+        rest, last = content[:-1], content[-1]
+        return sum_scalars((_psi(sub, nu, k), fill(nu, rest))
+                           for nu in _horizontal_strips(sub, last, len(rest)))
+
+    out = {}
+    for mu in dominant_below(lam):
+        c = fill(shape, lift_to_content(mu, total, n))
+        if c:
+            out[mu] = c
+    return out

@@ -34,9 +34,7 @@ from macdpoly.identities import (
 from macdpoly.operators import eigenvalue, macdonald_operator, pieri_expand, specialized_recurrence_sides
 from macdpoly.weights import Weight, dominance_leq, dominant_below
 
-from helpers import expand_in_p_basis, get_context, grid_weights, kostka_number, lift_to_content
-
-GRID_NK = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+from helpers import GRID_NK, expand_in_p_basis, get_context, grid_weights, kostka_number, lift_to_content
 
 
 @contextmanager

@@ -1,10 +1,13 @@
 """End-to-end tests for the command line interface (in-process via run)."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from macdpoly.cli import run
 from macdpoly.identities import VerificationReport
@@ -280,3 +283,30 @@ def test_poisoned_cache_entry_warns_and_rebuilds(capsys, tmp_path):
         capsys, "verify", "norm", "--n", "2", "--k", "2", "--lambda", "2,0",
         "--cache-dir", str(tmp_path))
     assert code == 0 and err == ""
+
+
+# sha256 of stdout for `python -m macdpoly <argv> --format json`, recorded
+# before the gcd-first scalar addition; any change to the arithmetic must
+# leave these bytes alone.
+GOLDEN_JSON_DIGESTS = [
+    (("grid", "--n", "2", "--k", "3", "--max-size", "3"),
+     "699037664d26a85520272e012eaa5fd1124ba4ed7ba65b704670c5491d5df866"),
+    (("grid", "--n", "3", "--k", "2", "--max-size", "3"),
+     "62718ea69e9c88fef3ceb0f0abab7a2061484d92b7da5e8fc7c6a45e9f3ba320"),
+    (("grid", "--n", "3", "--k", "3", "--max-size", "2"),
+     "ba66b91a601060d00cf62e029f428f1fe9f4a52cdceff863167074688b31fdd7"),
+    (("table", "--n", "3", "--k", "2", "--mu", "2,1,0", "--r", "1"),
+     "f8e5e6f87975b0df622e21ee386bb3f8f23a73076fedfd2b3a592de0a086d923"),
+    (("table", "--n", "3", "--k", "3", "--mu", "2,0,0", "--r", "2"),
+     "3106fa63cd6805367df3ab85218bbd2a1128168101af6a6114ec620c99d085c1"),
+    (("table", "--n", "4", "--k", "2", "--mu", "1,1,0,0", "--r", "2"),
+     "34ea691747f561de935173cf11c7d355e4c2b20f01c8b2265c3dcf880f091076"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN_JSON_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_JSON_DIGESTS])
+def test_json_output_matches_golden_digest(capsys, tmp_path, argv, expected):
+    code, out, _ = invoke(capsys, *argv, "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected

@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +23,16 @@ from macdpoly.core import (
     save_cache,
 )
 from macdpoly.exact import ExactScalar, LaurentPoly, parse_scalar, qint
-from macdpoly.weights import Weight, dominance_leq, fundamental_weight
+from macdpoly.weights import Weight, dominance_leq, dominant_below, fundamental_weight
 
-from helpers import get_context, grid_weights
+from helpers import (
+    GRID_NK,
+    get_context,
+    grid_weights,
+    kostka_number,
+    lift_to_content,
+    macdonald_coeffs_by_tableaux,
+)
 
 
 def test_context_validation():
@@ -194,6 +204,25 @@ def test_norm_values():
     ctx1 = get_context(3, 1)
     for lam in grid_weights(3, 3):
         assert norm(lam, ctx1) == ExactScalar.one()
+
+
+@pytest.mark.parametrize("n,k", GRID_NK + [(4, 1), (4, 2), (5, 1)])
+def test_macdonald_coeffs_match_tableau_formula(n, k):
+    # Macdonald's tableau formula needs neither the kernel nor the Gram table
+    ctx = get_context(n, k)
+    for lam in grid_weights(n, 4):
+        assert macdonald_coeffs(lam, ctx) == macdonald_coeffs_by_tableaux(lam, n, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tableau_formula_counts_tableaux_at_k1(n):
+    # at k = 1 every psi_T is 1, so each coefficient is a Kostka number
+    for lam in grid_weights(n, 5):
+        total = sum(lam.coords)
+        expected = {mu: kostka_number(lam.coords, lift_to_content(mu, total, n))
+                    for mu in dominant_below(lam)}
+        assert macdonald_coeffs_by_tableaux(lam, n, 1) == {
+            mu: ExactScalar(c) for mu, c in expected.items() if c}
 
 
 def test_cache_round_trip(tmp_path):
@@ -461,7 +490,8 @@ def test_save_cache_failed_replace_keeps_old_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="replace refused"):
         save_cache(ctx, path)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+    # no temporary file is left behind; the lock file stays for the next save
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json", "cache.json.lock"]
 
 
 def test_save_cache_merges_with_file_on_disk(tmp_path):
@@ -515,3 +545,44 @@ def test_save_cache_replaces_damaged_or_mismatched_file(tmp_path, text):
     path.write_text(text)
     save_cache(ctx, path)
     assert path.read_text() == (tmp_path / "clean.json").read_text()
+
+
+_SAVER = """
+import sys
+from macdpoly.core import MacdonaldContext, save_cache
+from macdpoly.exact import ExactScalar
+from macdpoly.weights import Weight
+
+path, parity, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+print("ready", flush=True)
+sys.stdin.read()
+for i in range(count):
+    # a fresh context holds only its newest weight: the earlier ones
+    # survive only through save_cache's merge with the file
+    ctx = MacdonaldContext(2, 1)
+    lam = Weight((2 * i + parity, 0))
+    ctx._loaded[lam] = {lam: ExactScalar.one()}
+    save_cache(ctx, path)
+"""
+
+
+def test_save_cache_overlapping_processes_keep_every_entry(tmp_path):
+    path = tmp_path / "cache.json"
+    count = 40
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    procs = [subprocess.Popen([sys.executable, "-c", _SAVER, str(path), str(parity), str(count)],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+             for parity in (0, 1)]
+    try:
+        for p in procs:
+            assert p.stdout.readline() == "ready\n"
+        for p in procs:
+            p.stdin.close()
+        for p in procs:
+            assert p.wait(timeout=120) == 0
+    finally:
+        for p in procs:
+            p.kill()
+            p.stdout.close()
+    doc = json.loads(path.read_text())
+    assert sorted(e["lambda"] for e in doc["entries"]) == sorted(f"{m},0" for m in range(2 * count))

@@ -24,6 +24,8 @@ from macdpoly.exact import (
     sum_scalars,
 )
 
+from helpers import add_by_cross_multiplication, div_by_canonicalisation, mul_by_canonicalisation
+
 
 def P(terms):
     return LaurentPoly({Fraction(e): Fraction(c) for e, c in terms.items()})
@@ -396,3 +398,74 @@ def test_sum_scalars_matches_sympy():
         for s in items:
             num, den = num * s.den + s.num * den, den * s.den
         assert (total.num.terms, total.den.terms) == _sympy_canonical(num, den)
+
+
+# ---------------------------------------------------------------------------
+# gcd-first addition and unit products against full canonicalisation
+# ---------------------------------------------------------------------------
+
+
+def _same_form(x, y):
+    return x.num.terms == y.num.terms and x.den.terms == y.den.terms
+
+
+def test_fast_paths_match_full_canonicalisation():
+    rng = random.Random(2718)
+
+    def rat():
+        return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 4))
+
+    def exponent():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 6]))
+
+    def poly(most=3):
+        return P({exponent(): rat() for _ in range(rng.randint(1, most))})
+
+    def factor():
+        # mostly a binomial 1 + c q^e with e > 0, sometimes any small polynomial
+        if rng.random() < 0.7:
+            return P({0: 1, abs(exponent()) or 1: rat()})
+        return poly()
+
+    def den():
+        return functools.reduce(operator.mul, (factor() for _ in range(rng.randint(0, 2))),
+                                LaurentPoly.one())
+
+    def unit():
+        return ExactScalar(LaurentPoly.q_term(rng.choice([0, exponent()]), rat()))
+
+    def pair(kind):
+        if kind == "equal":
+            d = den()
+            return ExactScalar(poly(), d), ExactScalar(poly(), d)
+        if kind == "coprime":
+            return ExactScalar(poly(), den()), ExactScalar(poly(), den())
+        common = factor()
+        a = ExactScalar(poly(), common * den())
+        if kind == "common":
+            return a, ExactScalar(poly(), common * den())
+        if kind == "cancel":
+            h = factor()
+            return a, ExactScalar(-a.num * h, a.den * h)
+        # "collapse": b = t - a, so a + b = t loses the common factor of a.den and b.den
+        t = ExactScalar(poly(), den())
+        return a, add_by_cross_multiplication(t, -a)
+
+    kinds = ["equal", "coprime", "common", "cancel", "collapse"]
+    seen = dict.fromkeys(["zero", "gcd", "unit_zero"], 0)
+    for case in range(400):
+        a, b = pair(kinds[case % len(kinds)])
+        total = a + b
+        assert _same_form(total, add_by_cross_multiplication(a, b))
+        assert _same_form(a - b, add_by_cross_multiplication(a, -b))
+        seen["zero"] += total.is_zero
+        seen["gcd"] += a.den != b.den and not laurent_gcd(a.den, b.den).is_one
+        u = unit()
+        assert _same_form(a / u, div_by_canonicalisation(a, u))
+        if rng.random() < 0.1:
+            u = ExactScalar.zero()
+            seen["unit_zero"] += not a.den.is_one
+        assert _same_form(a * u, mul_by_canonicalisation(a, u))
+        assert _same_form(u * a, mul_by_canonicalisation(u, a))
+    # enough cases cancel to zero, share a nontrivial gcd, or multiply a fraction by 0
+    assert seen["zero"] >= 60 and seen["gcd"] >= 100 and seen["unit_zero"] >= 10, seen

@@ -10,7 +10,18 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .exact import ExactScalar, _coerce_scalar, q_power, qint, scalar_to_str, sum_scalars
+from .exact import (
+    ExactScalar,
+    _coerce_scalar,
+    cyclotomic_scalar,
+    one_minus_q2,
+    one_minus_q2_factored,
+    q_power,
+    qint,
+    qint_factored,
+    scalar_to_str,
+    sum_scalars,
+)
 from .weights import Weight, RootData, check_param, pairing, weyl_orbit
 
 __all__ = [
@@ -233,24 +244,36 @@ def qdim(lam: Weight, n: int | None = None) -> ExactScalar:
     return root_product(rd.positive_roots, lam + rd.rho, rd.rho, (0,), (0,), qint)
 
 
+_FACTORED = {qint: qint_factored, one_minus_q2: one_minus_q2_factored}
+
+
 def root_product(roots, top: Weight, bottom: Weight, up, down, factor) -> ExactScalar:
     """The product over alpha in roots of
 
         prod_{s in up} factor((alpha, top) + s) / prod_{s in down} factor((alpha, bottom) + s),
 
     with factor qint or one_minus_q2.  A root pairs to an integer with every
-    weight, (e_i - e_j, w) = w_i - w_j.  Each root's numerator factors are
-    multiplied as polynomials, then its denominator factors, and the running
-    value takes one multiply and one exact division per root.
+    weight, (e_i - e_j, w) = w_i - w_j; any other pairing raises ValueError.
+    Each factor value is sign * q^e * a product of powers of Phi_d(q^2)
+    (exact.qint_factored, exact.one_minus_q2_factored), so the product is
+    the sum of those signs, exponents and powers, assembled once by
+    exact.cyclotomic_scalar with no gcd.  A vanishing down factor raises
+    ZeroDivisionError, even when an up factor vanishes too.
     """
-    val = ExactScalar.one()
+    factored = _FACTORED[factor]
+    sign, q_exp, powers = 1, 0, {}
     for alpha in roots:
-        a = int(pairing(alpha, top))
-        b = int(pairing(alpha, bottom))
-        num = den = ExactScalar.one()
-        for s in up:
-            num = num * factor(a + s)
-        for s in down:
-            den = den * factor(b + s)
-        val = val * num / den
-    return val
+        for weight, shifts, step in ((top, up, 1), (bottom, down, -1)):
+            a = pairing(alpha, weight)
+            if a.denominator != 1:
+                raise ValueError(
+                    f"root_product needs roots, but the weight {alpha} pairs to {a} with {weight}")
+            for s in shifts:
+                f_sign, f_exp, f_powers = factored(a.numerator + s)
+                if not f_sign and step < 0:
+                    raise ZeroDivisionError("exact scalar division by zero")
+                sign *= f_sign
+                q_exp += step * f_exp
+                for d, p in f_powers:
+                    powers[d] = powers.get(d, 0) + step * p
+    return cyclotomic_scalar(sign, q_exp, powers.items())

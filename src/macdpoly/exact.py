@@ -25,6 +25,12 @@ g = gcd(d1, d2) and e_i = d_i / g, the numerator n1*e2 + n2*e1 shares
 no factor with e1*e2, so it is reduced against g alone, and not at all
 when g = 1.  Multiplying or dividing by a unit c*q^e (a rational
 constant included) keeps the other operand's denominator as it is.
+
+The q-integers and the factors 1 - q^(2x) also have factored forms,
+sign * q^e * prod_d Phi_d(q^2)^p with Phi_d the d-th cyclotomic
+polynomial.  A product of such factors is a sum of signs, exponents and
+powers, and cyclotomic_scalar turns it into a canonical scalar with no
+gcd: distinct Phi_d are coprime, monic and nonzero at 0.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 Rat = Union[int, Fraction]
@@ -42,6 +49,10 @@ __all__ = [
     "ExactScalar",
     "qint",
     "one_minus_q2",
+    "qint_factored",
+    "one_minus_q2_factored",
+    "cyclotomic",
+    "cyclotomic_scalar",
     "q_power",
     "sum_scalars",
     "evaluate_limit_q1",
@@ -687,6 +698,82 @@ def qint(m: int) -> ExactScalar:
 def one_minus_q2(x: int) -> ExactScalar:
     """1 - q^(2x) as a scalar (zero when x = 0)."""
     return ExactScalar._make(LaurentPoly.one() - LaurentPoly.q_term(2 * x), LaurentPoly.one())
+
+
+# Factored forms: sign * q^e * prod_d Phi_d(q^2)^p as (sign, e, ((d, p), ...)),
+# with sign 0 for the zero value.  Each is written as a product of binomials
+# (q^(2m) - 1)^(+-1), and q^(2m) - 1 = prod_{d | m} Phi_d(q^2).
+
+
+def _binomials(*pairs: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """prod (q^(2m) - 1)^p over the pairs (m, p), as cyclotomic powers (d, p)."""
+    powers: dict[int, int] = {}
+    for m, p in pairs:
+        for d in range(1, m + 1):
+            if m % d == 0:
+                powers[d] = powers.get(d, 0) + p
+    return tuple((d, p) for d, p in powers.items() if p)
+
+
+@lru_cache(maxsize=None)
+def qint_factored(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """[m] = sgn(m) * q^(1 - |m|) * (q^(2|m|) - 1) / (q^2 - 1), factored."""
+    if m == 0:
+        return 0, 0, ()
+    return (1 if m > 0 else -1), 1 - abs(m), _binomials((abs(m), 1), (1, -1))
+
+
+@lru_cache(maxsize=None)
+def one_minus_q2_factored(x: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """1 - q^(2x): -(q^(2x) - 1) for x > 0, q^(2x) * (q^(-2x) - 1) for x < 0, factored."""
+    if x == 0:
+        return 0, 0, ()
+    if x > 0:
+        return -1, 0, _binomials((x, 1))
+    return 1, 2 * x, _binomials((-x, 1))
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> tuple[int, ...]:
+    """The integer coefficients of Phi_d, low degree first.
+
+    Phi_d is x^d - 1 divided by Phi_e for every proper divisor e of d.
+    """
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p = _exact_quo_int(p, cyclotomic(e))
+    return tuple(p)
+
+
+def _mul_int(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def cyclotomic_scalar(sign: int, q_exp: int, powers: Iterable[tuple[int, int]]) -> ExactScalar:
+    """sign * q^q_exp * prod Phi_d(q^2)^p over the pairs (d, p), canonical with no gcd.
+
+    Distinct Phi_d are coprime and monic with a nonzero constant term, and
+    so are their values at q^2.  The positive powers with the sign and the
+    q-power make the numerator and the negative powers the denominator;
+    that pair is already canonical.  A sign of 0 gives 0.
+    """
+    if not sign:
+        return ExactScalar.zero()
+    num, den = [sign], [1]
+    for d, p in powers:
+        for _ in range(abs(p)):
+            if p > 0:
+                num = _mul_int(num, cyclotomic(d))
+            else:
+                den = _mul_int(den, cyclotomic(d))
+    return ExactScalar._make(
+        _raw_poly({Fraction(q_exp + 2 * i): Fraction(c) for i, c in enumerate(num) if c}),
+        _raw_poly({Fraction(2 * i): Fraction(c) for i, c in enumerate(den) if c}))
 
 
 def evaluate_limit_q1(s: ExactScalar) -> Fraction:

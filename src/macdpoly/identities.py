@@ -3,9 +3,10 @@
 Each verifier computes a first-principles side (constant terms,
 evaluations of the constructed P_lam, operator application) and a
 closed-form side (a product over roots of q-integers or of 1 - q^(2x),
-one call to algebra.root_product) by disjoint code paths, then compares
-canonical forms exactly.  Reports carry both sides as canonical strings
-even on success, for golden-file regressions.
+one call to algebra.root_product, assembled from cyclotomic factors with
+no gcd) by disjoint code paths, then compares canonical forms exactly.
+Reports carry both sides as canonical strings even on success, for
+golden-file regressions.
 """
 
 from __future__ import annotations

@@ -163,6 +163,26 @@ def div_by_canonicalisation(a, b):
     return ExactScalar(a.num * b.den, a.den * b.num)
 
 
+def root_product_by_division(roots, top, bottom, up, down, factor):
+    """algebra.root_product one root at a time, each step an exact division.
+
+    The oracle for the cyclotomic assembly: each root's up factors are
+    multiplied, its down factors are multiplied, and the running value is
+    multiplied by the first and divided by the second, with a full gcd.
+    """
+    val = ExactScalar.one()
+    for alpha in roots:
+        a = int(pairing(alpha, top))
+        b = int(pairing(alpha, bottom))
+        num = den = ExactScalar.one()
+        for s in up:
+            num = num * factor(a + s)
+        for s in down:
+            den = den * factor(b + s)
+        val = val * num / den
+    return val
+
+
 def _b(shape, conj, i, j, k):
     """Macdonald's b_shape(s) at the box s = (i, j), with (q, t) = (q^2, q^(2k)).
 

@@ -1,9 +1,12 @@
 """Group algebra elements: products, bar, orbit sums, evaluation, qdim."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from macdpoly import algebra, identities, operators
 from macdpoly.algebra import (
     GroupAlgebraElement,
     char_lambda_r,
@@ -12,11 +15,11 @@ from macdpoly.algebra import (
     qdim,
     root_product,
 )
-from macdpoly.core import chi, macdonald_poly
+from macdpoly.core import MacdonaldContext, chi, macdonald_poly
 from macdpoly.exact import ExactScalar, evaluate_limit_q1, one_minus_q2, parse_scalar, q_power, qint
-from macdpoly.weights import RootData, Weight, fundamental_weight, pairing
+from macdpoly.weights import RootData, Weight, fundamental_weight, lambda_r_weights, pairing
 
-from helpers import evaluate_at_term_by_term, get_context, grid_weights
+from helpers import evaluate_at_term_by_term, get_context, grid_weights, root_product_by_division
 
 E = GroupAlgebraElement.exponential
 
@@ -182,6 +185,78 @@ def test_root_product_pairs_through_canonical_coordinates():
     assert got == qint(1) * qint(3) / qint(-3)
     got = root_product([alpha], Weight((1, 0, 0)), Weight((1, 0, 0)), (1,), (-2,), one_minus_q2)
     assert got == parse_scalar("1 - 1*q^(4)") / parse_scalar("1 - 1*q^(-2)")
+
+
+def test_root_product_rejects_weights_that_are_not_roots():
+    # (1,0,0) pairs to 2/3 with itself; truncating that to 0 gave [1] = 1
+    with pytest.raises(ValueError, match="1,0,0 pairs to 2/3 with 1,0,0"):
+        root_product([Weight((1, 0, 0))], Weight((1, 0, 0)), Weight((0, 0, 0)), (1,), (), qint)
+
+
+def _root_product_outcome(fn, args):
+    try:
+        val = fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return val.num.terms, val.den.terms
+
+
+def test_root_product_matches_division_oracle():
+    rng = random.Random(14)
+    kinds = Counter()
+    for _ in range(500):
+        n = rng.choice((2, 2, 3, 3, 4, 4, 5))
+        rd = RootData(n)
+        lams = grid_weights(n, 3)
+        subset = rng.sample(rd.all_roots, rng.randint(1, len(rd.all_roots)))
+        roots = rng.choice([rd.positive_roots, rd.all_roots, subset])
+        top = rng.choice(lams) + rng.randint(0, 2) * rd.rho
+        bottom = rng.choice(lams) + rng.randint(0, 2) * rd.rho
+        up = [rng.randint(-4, 4) for _ in range(rng.randint(0, 2))]
+        down = [rng.randint(-4, 4) for _ in range(rng.randint(0, 2))]
+        args = (roots, top, bottom, up, down, rng.choice((qint, one_minus_q2)))
+        want = _root_product_outcome(root_product_by_division, args)
+        assert _root_product_outcome(root_product, args) == want, args
+        kinds["raises" if isinstance(want[0], type) else "zero" if not want[0] else "value"] += 1
+    # vanishing up and down factors both occur, as well as ordinary values
+    assert kinds["raises"] >= 50 and kinds["zero"] >= 50 and kinds["value"] >= 200, kinds
+
+
+def test_root_product_matches_division_oracle_on_closed_form_inputs(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return root_product(*args)
+
+    for module in (algebra, identities, operators):
+        monkeypatch.setattr(module, "root_product", recording)
+    for n, k, size in [(3, 2, 3), (4, 2, 2), (5, 1, 2)]:
+        ctx = MacdonaldContext(n, k)
+        rd = ctx.root_data
+        ws = grid_weights(n, size)
+        for lam in ws:
+            identities.norm_rhs(lam, ctx)
+            identities.special_value_rhs(lam, ctx)
+            identities.special_value_rhs_exponential(lam, ctx)
+            identities.shapovalov_denominator(lam, k, n)
+            identities.cor38_ratio(lam + (k - 1) * rd.rho, k - 1, n)
+            algebra.qdim(lam + (k - 1) * rd.rho)
+            for mu in ws:
+                identities.symmetry_rhs(lam, mu, ctx)
+                identities.symmetry_rhs_exponential(lam, mu, ctx)
+            shifted = lam + k * rd.rho
+            for r in range(1, n):
+                operators.pieri_expand(lam, r, ctx)
+                # the specialized-recurrence coefficients, as operators builds them
+                for nu in lambda_r_weights(n, r):
+                    if (lam + nu).is_dominant:
+                        roots = [a for a in rd.all_roots if pairing(a, nu) == -1]
+                        calls.append((roots, shifted, shifted, (-k,), (0,), qint))
+    assert len(calls) > 300
+    for args in calls:
+        assert (_root_product_outcome(root_product, args)
+                == _root_product_outcome(root_product_by_division, args)), args
 
 
 def test_records_round_trip():

@@ -12,14 +12,19 @@ from macdpoly.exact import (
     ExactDivisionError,
     ExactScalar,
     LaurentPoly,
+    cyclotomic,
+    cyclotomic_scalar,
     evaluate_limit_q1,
     exact_div_poly,
     laurent_gcd,
     parse_poly,
     parse_scalar,
     poly_to_str,
+    one_minus_q2,
+    one_minus_q2_factored,
     q_power,
     qint,
+    qint_factored,
     scalar_to_str,
     sum_scalars,
 )
@@ -149,6 +154,27 @@ def test_qint_matches_defining_ratio():
         num = ExactScalar(P({m: 1, -m: -1}))
         den = ExactScalar(P({1: 1, -1: -1}))
         assert qint(m) == num / den
+
+
+def test_cyclotomic_polynomials():
+    # prod_{d | m} Phi_d(x) = x^m - 1; Phi_d(0) = 1 and deg Phi_d = phi(d) for d > 1
+    for m in range(1, 61):
+        prod = LaurentPoly.one()
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = prod * P(dict(enumerate(cyclotomic(d))))
+        assert prod == P({m: 1, 0: -1})
+        if m > 1:
+            assert cyclotomic(m)[0] == 1
+            assert len(cyclotomic(m)) - 1 == sum(1 for j in range(1, m) if math.gcd(j, m) == 1)
+
+
+def test_factored_forms_rebuild_the_factors():
+    for x in range(-40, 41):
+        assert cyclotomic_scalar(*qint_factored(x)) == qint(x)
+        assert cyclotomic_scalar(*one_minus_q2_factored(x)) == one_minus_q2(x)
+    assert cyclotomic_scalar(*qint_factored(0)).is_zero
+    assert cyclotomic_scalar(*one_minus_q2_factored(0)).is_zero
 
 
 def test_subst_q_inverse():

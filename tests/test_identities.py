@@ -1,11 +1,12 @@
 """Closed-form evaluators, two-sided verification, report serialization."""
 
+import hashlib
 import json
 
 import pytest
 
 from macdpoly.algebra import qdim
-from macdpoly.core import macdonald_poly, norm
+from macdpoly.core import MacdonaldContext, macdonald_poly, norm
 from macdpoly.exact import ExactScalar, evaluate_limit_q1, parse_scalar, qint, scalar_to_str
 from macdpoly.identities import (
     IDENTITIES,
@@ -19,7 +20,8 @@ from macdpoly.identities import (
     verify,
     verify_grid,
 )
-from macdpoly.weights import Weight
+from macdpoly.operators import pieri_expand
+from macdpoly.weights import Weight, dominant_weights_up_to
 
 from helpers import get_context, grid_weights
 
@@ -102,20 +104,54 @@ def _weyl_dimension(lam):
     return num // den
 
 
-def test_closed_forms_rank4():
-    # every dominant lam, mu with |.| <= 2 at n = 4
-    ws = grid_weights(4, 2)
-    assert {str(lam): _weyl_dimension(lam) for lam in ws} == {
-        "0,0,0,0": 1, "1,0,0,0": 4, "1,1,0,0": 6, "2,0,0,0": 10}
-    for k in (1, 2):
-        ctx = get_context(4, k)
+def _check_closed_forms(n, ks, ws):
+    for k in ks:
+        ctx = get_context(n, k)
         rho = ctx.root_data.rho
         for lam in ws:
             for mu in ws:
                 assert symmetry_rhs(lam, mu, ctx) == symmetry_rhs_exponential(lam, mu, ctx)
             assert special_value_rhs(lam, ctx) == special_value_rhs_exponential(lam, ctx)
-            assert cor38_ratio(lam + (k - 1) * rho, k - 1, 4) == norm_rhs(lam, ctx)
+            assert cor38_ratio(lam + (k - 1) * rho, k - 1, n) == norm_rhs(lam, ctx)
             assert evaluate_limit_q1(qdim(lam)) == _weyl_dimension(lam)
+
+
+def test_closed_forms_rank4():
+    # every dominant lam, mu with |.| <= 2 at n = 4
+    ws = grid_weights(4, 2)
+    assert {str(lam): _weyl_dimension(lam) for lam in ws} == {
+        "0,0,0,0": 1, "1,0,0,0": 4, "1,1,0,0": 6, "2,0,0,0": 10}
+    _check_closed_forms(4, (1, 2), ws)
+
+
+def test_closed_forms_rank5():
+    # every dominant lam, mu with |.| <= 2 at n = 5
+    ws = grid_weights(5, 2)
+    assert {str(lam): _weyl_dimension(lam) for lam in ws} == {
+        "0,0,0,0,0": 1, "1,0,0,0,0": 5, "1,1,0,0,0": 10, "2,0,0,0,0": 15}
+    _check_closed_forms(5, (1, 2, 3), ws)
+
+
+def test_closed_forms_match_golden_digest():
+    # canonical strings of every closed form over a fixed sweep, recorded
+    # when each was still built by one exact division per root
+    out = []
+    for n, k, size in [(3, 2, 4), (3, 3, 4), (4, 2, 3), (5, 2, 2), (4, 3, 3)]:
+        ctx = MacdonaldContext(n, k)
+        up = (k - 1) * ctx.root_data.rho
+        ws = dominant_weights_up_to(n, size)
+        for lam in ws:
+            out += [norm_rhs(lam, ctx), special_value_rhs(lam, ctx),
+                    special_value_rhs_exponential(lam, ctx), qdim(lam + up),
+                    cor38_ratio(lam + up, k - 1, n)]
+            for mu in ws:
+                out += [symmetry_rhs(lam, mu, ctx), symmetry_rhs_exponential(lam, mu, ctx)]
+            for r in range(1, n):
+                out += [term.coefficient for term in pieri_expand(lam, r, ctx)]
+    text = "\n".join(scalar_to_str(value) for value in out)
+    assert len(out) == 926
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "976be21b3f09cfd974226202dd49f761be47642ad2ba43884c35b59ee0d07b86")
 
 
 def test_special_value_identity():

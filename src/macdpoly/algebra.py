@@ -4,24 +4,19 @@ Elements are finite sums  sum_beta c_beta e^beta  with c_beta in the
 exact scalar field.  This is where symmetric-group invariance, the bar
 involution e^beta -> e^(-beta), constant terms, and principal-type
 evaluations e^beta -> q^(2 (beta, xi)) live.
+
+Two products over roots live here too: root_product, behind every closed
+form of the paper, hands its q-integers or factors 1 - q^(2x) to
+exact.factor_product; binomial_product multiplies e^lead by root binomials
+1 - q^(2i) e^alpha and gives the kernel, chi0 and the Weyl alternant a_rho.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .exact import (
-    ExactScalar,
-    _coerce_scalar,
-    cyclotomic_scalar,
-    one_minus_q2,
-    one_minus_q2_factored,
-    q_power,
-    qint,
-    qint_factored,
-    scalar_to_str,
-    sum_scalars,
-)
+from .exact import (ExactScalar, _coerce_scalar, factor_product, q_power, qint, scalar_to_str,
+                    sum_scalars)
 from .weights import Weight, RootData, check_param, pairing, weyl_orbit
 
 __all__ = [
@@ -30,6 +25,7 @@ __all__ = [
     "char_lambda_r",
     "qdim",
     "root_product",
+    "binomial_product",
     "element_to_str",
 ]
 
@@ -244,36 +240,38 @@ def qdim(lam: Weight, n: int | None = None) -> ExactScalar:
     return root_product(rd.positive_roots, lam + rd.rho, rd.rho, (0,), (0,), qint)
 
 
-_FACTORED = {qint: qint_factored, one_minus_q2: one_minus_q2_factored}
-
-
 def root_product(roots, top: Weight, bottom: Weight, up, down, factor) -> ExactScalar:
     """The product over alpha in roots of
 
         prod_{s in up} factor((alpha, top) + s) / prod_{s in down} factor((alpha, bottom) + s),
 
-    with factor qint or one_minus_q2.  A root pairs to an integer with every
-    weight, (e_i - e_j, w) = w_i - w_j; any other pairing raises ValueError.
-    Each factor value is sign * q^e * a product of powers of Phi_d(q^2)
-    (exact.qint_factored, exact.one_minus_q2_factored), so the product is
-    the sum of those signs, exponents and powers, assembled once by
-    exact.cyclotomic_scalar with no gcd.  A vanishing down factor raises
-    ZeroDivisionError, even when an up factor vanishes too.
+    with factor qint or one_minus_q2, as one call to exact.factor_product.
+    A root pairs to an integer with every weight, (e_i - e_j, w) = w_i - w_j;
+    any other pairing raises ValueError before any factor is evaluated.  A
+    vanishing down factor raises ZeroDivisionError, even when an up factor
+    vanishes too.
     """
-    factored = _FACTORED[factor]
-    sign, q_exp, powers = 1, 0, {}
+    ups, downs = [], []
     for alpha in roots:
-        for weight, shifts, step in ((top, up, 1), (bottom, down, -1)):
+        for weight, shifts, xs in ((top, up, ups), (bottom, down, downs)):
             a = pairing(alpha, weight)
             if a.denominator != 1:
                 raise ValueError(
                     f"root_product needs roots, but the weight {alpha} pairs to {a} with {weight}")
-            for s in shifts:
-                f_sign, f_exp, f_powers = factored(a.numerator + s)
-                if not f_sign and step < 0:
-                    raise ZeroDivisionError("exact scalar division by zero")
-                sign *= f_sign
-                q_exp += step * f_exp
-                for d, p in f_powers:
-                    powers[d] = powers.get(d, 0) + step * p
-    return cyclotomic_scalar(sign, q_exp, powers.items())
+            xs.extend(a.numerator + s for s in shifts)
+    return factor_product(ups, downs, factor)
+
+
+def binomial_product(lead: Weight, roots, shifts) -> GroupAlgebraElement:
+    """e^lead * prod_{alpha in roots} prod_{i in shifts} (1 - q^(2i) e^alpha).
+
+    Roots outer, shifts inner, each binomial multiplied straight into the
+    running element: pairing binomials up first is slower.
+    """
+    n = lead.rank
+    zero = Weight.zero(n)
+    f = GroupAlgebraElement.exponential(lead)
+    for alpha in roots:
+        for i in shifts:
+            f = f * GroupAlgebraElement(n, {zero: 1, alpha: -q_power(2 * i)})
+    return f

@@ -28,8 +28,8 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import GroupAlgebraElement
-from .exact import ExactScalar, parse_scalar, q_power, scalar_to_str, sum_scalars
+from .algebra import GroupAlgebraElement, binomial_product
+from .exact import ExactScalar, parse_scalar, scalar_to_str, sum_scalars
 from .weights import (Weight, RootData, check_param, dominance_leq, dominant_below,
                       parse_weight, weyl_orbit)
 
@@ -51,13 +51,7 @@ def delta_kernel(n: int, k: int) -> GroupAlgebraElement:
     """The weight function prod_{alpha in R} prod_{i=0}^{k-1} (1 - q^(2i) e^alpha)."""
     check_param(n, "rank parameter n", 2)
     check_param(k, "deformation parameter k", 1)
-    rd = RootData(n)
-    zero = Weight.zero(n)
-    f = GroupAlgebraElement.one(n)
-    for alpha in rd.all_roots:
-        for i in range(k):
-            f = f * GroupAlgebraElement(n, {zero: 1, alpha: -q_power(2 * i)})
-    return f
+    return binomial_product(Weight.zero(n), RootData(n).all_roots, range(k))
 
 
 class MacdonaldContext:
@@ -208,16 +202,9 @@ def chi0(ctx: MacdonaldContext) -> GroupAlgebraElement:
 
     For k = 1 this is the identity.
     """
-    def compute():
-        n, k = ctx.n, ctx.k
-        zero = Weight.zero(n)
-        f = GroupAlgebraElement.exponential((k - 1) * ctx.root_data.rho)
-        for alpha in ctx.root_data.positive_roots:
-            for i in range(1, k):
-                f = f * GroupAlgebraElement(n, {zero: 1, -alpha: -q_power(2 * i)})
-        return f
-
-    return ctx.memo("chi0", (), compute)
+    rd = ctx.root_data
+    return ctx.memo("chi0", (), lambda: binomial_product(
+        (ctx.k - 1) * rd.rho, [-alpha for alpha in rd.positive_roots], range(1, ctx.k)))
 
 
 def chi(lam: Weight, ctx: MacdonaldContext) -> GroupAlgebraElement:

@@ -26,11 +26,12 @@ no factor with e1*e2, so it is reduced against g alone, and not at all
 when g = 1.  Multiplying or dividing by a unit c*q^e (a rational
 constant included) keeps the other operand's denominator as it is.
 
-The q-integers and the factors 1 - q^(2x) also have factored forms,
+Products and quotients of q-integers [x], or of factors 1 - q^(2x), go
+through factor_product, the one place that writes such a factor as
 sign * q^e * prod_d Phi_d(q^2)^p with Phi_d the d-th cyclotomic
-polynomial.  A product of such factors is a sum of signs, exponents and
-powers, and cyclotomic_scalar turns it into a canonical scalar with no
-gcd: distinct Phi_d are coprime, monic and nonzero at 0.
+polynomial.  The product is then a sum of signs, exponents and powers,
+and cyclotomic_scalar turns it into a canonical scalar with no gcd:
+distinct Phi_d are coprime, monic and nonzero at 0.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -49,8 +50,7 @@ __all__ = [
     "ExactScalar",
     "qint",
     "one_minus_q2",
-    "qint_factored",
-    "one_minus_q2_factored",
+    "factor_product",
     "cyclotomic",
     "cyclotomic_scalar",
     "q_power",
@@ -700,37 +700,47 @@ def one_minus_q2(x: int) -> ExactScalar:
     return ExactScalar._make(LaurentPoly.one() - LaurentPoly.q_term(2 * x), LaurentPoly.one())
 
 
-# Factored forms: sign * q^e * prod_d Phi_d(q^2)^p as (sign, e, ((d, p), ...)),
-# with sign 0 for the zero value.  Each is written as a product of binomials
-# (q^(2m) - 1)^(+-1), and q^(2m) - 1 = prod_{d | m} Phi_d(q^2).
+def factor_product(up: Sequence[int], down: Sequence[int], factor) -> ExactScalar:
+    """prod_{x in up} factor(x) / prod_{x in down} factor(x), for factor qint or one_minus_q2.
 
+    Each factor is sign * q^e * a product of binomials (q^(2m) - 1)^(+-1),
 
-def _binomials(*pairs: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    """prod (q^(2m) - 1)^p over the pairs (m, p), as cyclotomic powers (d, p)."""
+        [x]        = sgn(x) q^(1 - |x|) (q^(2|x|) - 1) / (q^2 - 1),
+        1 - q^(2x) = -(q^(2x) - 1) for x > 0,  q^(2x) (q^(-2x) - 1) for x < 0,
+
+    and q^(2m) - 1 = prod_{d | m} Phi_d(q^2).  The signs multiply, the
+    exponents and binomial powers add (a down factor's subtract), and
+    cyclotomic_scalar assembles the result with no gcd.  A vanishing up
+    factor gives 0; a vanishing down factor raises ZeroDivisionError, even
+    when an up factor vanishes too.
+    """
+    if factor is not qint and factor is not one_minus_q2:
+        raise ValueError(f"factor_product needs factor qint or one_minus_q2, got {factor!r}")
+    if 0 in down:
+        raise ZeroDivisionError("exact scalar division by zero")
+    if 0 in up:
+        return ExactScalar.zero()
+    sign, q_exp, binomials = 1, 0, {}
+    for xs, step in ((up, 1), (down, -1)):
+        for x in xs:
+            m = abs(x)
+            binomials[m] = binomials.get(m, 0) + step
+            if factor is qint:
+                if x < 0:
+                    sign = -sign
+                q_exp += step * (1 - m)
+                binomials[1] = binomials.get(1, 0) - step
+            elif x > 0:
+                sign = -sign
+            else:
+                q_exp += step * 2 * x
     powers: dict[int, int] = {}
-    for m, p in pairs:
-        for d in range(1, m + 1):
-            if m % d == 0:
-                powers[d] = powers.get(d, 0) + p
-    return tuple((d, p) for d, p in powers.items() if p)
-
-
-@lru_cache(maxsize=None)
-def qint_factored(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """[m] = sgn(m) * q^(1 - |m|) * (q^(2|m|) - 1) / (q^2 - 1), factored."""
-    if m == 0:
-        return 0, 0, ()
-    return (1 if m > 0 else -1), 1 - abs(m), _binomials((abs(m), 1), (1, -1))
-
-
-@lru_cache(maxsize=None)
-def one_minus_q2_factored(x: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """1 - q^(2x): -(q^(2x) - 1) for x > 0, q^(2x) * (q^(-2x) - 1) for x < 0, factored."""
-    if x == 0:
-        return 0, 0, ()
-    if x > 0:
-        return -1, 0, _binomials((x, 1))
-    return 1, 2 * x, _binomials((-x, 1))
+    for m, p in binomials.items():
+        if p:
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    powers[d] = powers.get(d, 0) + p
+    return cyclotomic_scalar(sign, q_exp, powers.items())
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,9 @@ The r-th operator acts on W-invariant elements by
 where T_nu e^lam = q^(2 (nu, lam)) e^lam and Lambda_r runs over the
 weights of the r-th exterior power.  It is computed as a ratio of Weyl
 alternants, M_r f = a_rho^(-1) sum_nu T_{k nu}(a_rho) T_nu f with
-a_rho = e^rho prod_{alpha>0} (1 - e^(-alpha)) (Macdonald, SFHP VI.3); the
-anti-invariant sum is divided by a_rho exactly, one positive root at a time.
+a_rho = e^rho prod_{alpha>0} (1 - e^(-alpha)) (Macdonald, SFHP VI.3), built
+by algebra.binomial_product like the kernel and chi0; the anti-invariant
+sum is divided by a_rho exactly, one positive root at a time.
 The normalising power cancels since 2 (nu, rho) = sum_{alpha>0} (alpha, nu):
 the q^(2k (nu, rho)) that T_{k nu} puts on e^rho is q^(k r (r-n)) times the
 q^(2k) pulled out of each positive root with (alpha, nu) = 1.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import GroupAlgebraElement, char_lambda_r, root_product
+from .algebra import GroupAlgebraElement, binomial_product, char_lambda_r, root_product
 from .core import MacdonaldContext, macdonald_poly
 from .exact import ExactDivisionError, ExactScalar, q_power, qint
 from .weights import Weight, check_param, lambda_r_weights, pairing
@@ -90,14 +91,13 @@ def macdonald_operator(f: GroupAlgebraElement, r: int,
     check_param(r, "operator index r", 1, n - 1)
     if not f.is_w_invariant():
         raise ValueError("macdonald_operator requires a Weyl-invariant input")
-    a_rho = GroupAlgebraElement.exponential(ctx.root_data.rho)
-    for alpha in ctx.root_data.positive_roots:
-        a_rho = a_rho * (GroupAlgebraElement.one(n) - GroupAlgebraElement.exponential(-alpha))
+    rd = ctx.root_data
+    a_rho = binomial_product(rd.rho, [-alpha for alpha in rd.positive_roots], (0,))
     total = GroupAlgebraElement.zero(n)
     for nu in lambda_r_weights(n, r):
         total = total + shift_apply(a_rho, k * nu) * shift_apply(f, nu)
-    total = total * GroupAlgebraElement.exponential(-ctx.root_data.rho)
-    for alpha in ctx.root_data.positive_roots:
+    total = total * GroupAlgebraElement.exponential(-rd.rho)
+    for alpha in rd.positive_roots:
         total = divide_by_root_binomial(total, -alpha)
     return total
 

@@ -12,9 +12,11 @@ from functools import lru_cache
 
 from macdpoly.algebra import GroupAlgebraElement
 from macdpoly.core import MacdonaldContext, macdonald_poly
-from macdpoly.exact import ExactScalar, LaurentPoly, q_power, sum_scalars
+from macdpoly.exact import (ExactScalar, LaurentPoly, factor_product, one_minus_q2, q_power,
+                            sum_scalars)
 from macdpoly.operators import divide_by_root_binomial, shift_apply
 from macdpoly.weights import (
+    RootData,
     Weight,
     dominance_leq,
     dominant_below,
@@ -183,6 +185,60 @@ def root_product_by_division(roots, top, bottom, up, down, factor):
     return val
 
 
+def factor_product_by_division(up, down, factor):
+    """exact.factor_product as a plain product and quotient of factor values.
+
+    The oracle for the cyclotomic assembly: the up values are multiplied,
+    the down values are multiplied, and the quotient is canonicalised with
+    a full gcd.
+    """
+    num = den = ExactScalar.one()
+    for x in up:
+        num = num * factor(x)
+    for x in down:
+        den = den * factor(x)
+    return num / den
+
+
+def _binomial(n, alpha, i):
+    """1 - q^(2i) e^alpha."""
+    return GroupAlgebraElement(n, {Weight.zero(n): 1, alpha: -q_power(2 * i)})
+
+
+def delta_kernel_by_loops(n, k):
+    """The kernel prod_{alpha in R} prod_{i=0}^{k-1} (1 - q^(2i) e^alpha), multiplied out in place.
+
+    The oracle for core.delta_kernel, which goes through algebra.binomial_product.
+    """
+    f = GroupAlgebraElement.one(n)
+    for alpha in RootData(n).all_roots:
+        for i in range(k):
+            f = f * _binomial(n, alpha, i)
+    return f
+
+
+def chi0_by_loops(n, k):
+    """e^((k-1) rho) prod_{alpha > 0} prod_{i=1}^{k-1} (1 - q^(2i) e^(-alpha)), multiplied out.
+
+    The oracle for core.chi0, which goes through algebra.binomial_product.
+    """
+    rd = RootData(n)
+    f = GroupAlgebraElement.exponential((k - 1) * rd.rho)
+    for alpha in rd.positive_roots:
+        for i in range(1, k):
+            f = f * _binomial(n, -alpha, i)
+    return f
+
+
+def a_rho_by_loops(n):
+    """The alternant e^rho prod_{alpha > 0} (1 - e^(-alpha)), as operators built it in place."""
+    rd = RootData(n)
+    a_rho = GroupAlgebraElement.exponential(rd.rho)
+    for alpha in rd.positive_roots:
+        a_rho = a_rho * (GroupAlgebraElement.one(n) - GroupAlgebraElement.exponential(-alpha))
+    return a_rho
+
+
 def _b(shape, conj, i, j, k):
     """Macdonald's b_shape(s) at the box s = (i, j), with (q, t) = (q^2, q^(2k)).
 
@@ -202,7 +258,7 @@ def _conjugate(shape):
 
 
 def _psi(big, small, k):
-    """psi_{big/small} for a horizontal strip, SFHP VI (6.24)(ii).
+    """psi_{big/small} for a horizontal strip, SFHP VI (6.24)(ii): the oracle for psi_by_rows.
 
     The product of b_small(s) / b_big(s) over the boxes s that lie in a row
     meeting the strip but not in a column meeting it.
@@ -217,6 +273,31 @@ def _psi(big, small, k):
             if j not in cols:
                 out = out * _b(small, cs, i, j, k) / _b(big, cb, i, j, k)
     return out
+
+
+def psi_by_rows(big, small, k):
+    """psi_{big/small} for a horizontal strip, SFHP VI (6.24)(iv), through factor_product.
+
+    The product over 1 <= i <= j <= len(small) of
+
+        f(small_i - small_j) f(big_i - big_(j+1)) / (f(big_i - small_j) f(small_i - big_(j+1))),
+
+    each argument shifted by k (j - i).  Macdonald's f(u) = (t u; q)_inf / (q u; q)_inf
+    at u = q^(2x) and (q, t) = (q^2, q^(2k)) is 1 / prod_{s=1}^{k-1} (1 - q^(2(x+s))),
+    so the f's of the numerator put their factors down and those of the
+    denominator put theirs up.  Every argument is >= 0 on a strip, so no
+    factor vanishes.
+    """
+    small = tuple(x for x in small if x)
+    big = tuple(big) + (0,) * (len(small) + 1 - len(big))
+    up, down = [], []
+    for i in range(len(small)):
+        for j in range(i, len(small)):
+            shift = k * (j - i)
+            for s in range(1, k):
+                down += [small[i] - small[j] + shift + s, big[i] - big[j + 1] + shift + s]
+                up += [big[i] - small[j] + shift + s, small[i] - big[j + 1] + shift + s]
+    return factor_product(up, down, one_minus_q2)
 
 
 def _horizontal_strips(shape, size, max_rows):
@@ -246,7 +327,7 @@ def macdonald_coeffs_by_tableaux(lam, n, k):
         if not content:
             return ExactScalar.zero() if sub else ExactScalar.one()
         rest, last = content[:-1], content[-1]
-        return sum_scalars((_psi(sub, nu, k), fill(nu, rest))
+        return sum_scalars((psi_by_rows(sub, nu, k), fill(nu, rest))
                            for nu in _horizontal_strips(sub, last, len(rest)))
 
     out = {}

@@ -193,6 +193,12 @@ def test_root_product_rejects_weights_that_are_not_roots():
         root_product([Weight((1, 0, 0))], Weight((1, 0, 0)), Weight((0, 0, 0)), (1,), (), qint)
 
 
+def test_root_product_rejects_unknown_factor():
+    rd = RootData(3)
+    with pytest.raises(ValueError, match="factor qint or one_minus_q2, got <function q_power"):
+        root_product(rd.positive_roots, rd.rho, rd.rho, (0,), (0,), q_power)
+
+
 def _root_product_outcome(fn, args):
     try:
         val = fn(*args)

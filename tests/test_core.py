@@ -1,5 +1,6 @@
 """Construction of P_lambda: kernel, inner product, Gram table, memo, caching."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from macdpoly.algebra import GroupAlgebraElement, orbit_sum
+from macdpoly.algebra import GroupAlgebraElement, binomial_product, orbit_sum
 from macdpoly.core import (
     MacdonaldContext,
     chi,
@@ -23,15 +24,21 @@ from macdpoly.core import (
     save_cache,
 )
 from macdpoly.exact import ExactScalar, LaurentPoly, parse_scalar, qint
-from macdpoly.weights import Weight, dominance_leq, dominant_below, fundamental_weight
+from macdpoly.weights import RootData, Weight, dominance_leq, dominant_below, fundamental_weight
 
 from helpers import (
     GRID_NK,
+    _horizontal_strips,
+    _psi,
+    a_rho_by_loops,
+    chi0_by_loops,
+    delta_kernel_by_loops,
     get_context,
     grid_weights,
     kostka_number,
     lift_to_content,
     macdonald_coeffs_by_tableaux,
+    psi_by_rows,
 )
 
 
@@ -91,6 +98,16 @@ def test_delta_kernel_properties():
     for c in d1.terms.values():
         assert c.is_rational_constant
     assert delta_kernel(2, 1).constant_term() == ExactScalar.from_rational(2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_binomial_products_match_loops(n):
+    rd = RootData(n)
+    negative = [-alpha for alpha in rd.positive_roots]
+    assert binomial_product(rd.rho, negative, (0,)) == a_rho_by_loops(n)
+    for k in (1, 2, 3):
+        assert chi0(MacdonaldContext(n, k)) == chi0_by_loops(n, k)
+        assert delta_kernel(n, k) == delta_kernel_by_loops(n, k)
 
 
 def test_inner_product_values():
@@ -223,6 +240,21 @@ def test_tableau_formula_counts_tableaux_at_k1(n):
                     for mu in dominant_below(lam)}
         assert macdonald_coeffs_by_tableaux(lam, n, 1) == {
             mu: ExactScalar(c) for mu, c in expected.items() if c}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_psi_by_rows_matches_box_form(k):
+    # every horizontal strip of a partition with parts <= 4 and at most 4 rows
+    strips = 0
+    for parts in itertools.product(range(5), repeat=4):
+        big = tuple(x for x in parts if x)
+        if not big or list(parts) != sorted(parts, reverse=True):
+            continue
+        for size in range(sum(big) + 1):
+            for small in _horizontal_strips(big, size, 4):
+                assert psi_by_rows(big, small, k) == _psi(big, small, k), (big, small)
+                strips += 1
+    assert strips == 494
 
 
 def test_cache_round_trip(tmp_path):

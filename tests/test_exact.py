@@ -4,6 +4,7 @@ import functools
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,23 +14,26 @@ from macdpoly.exact import (
     ExactScalar,
     LaurentPoly,
     cyclotomic,
-    cyclotomic_scalar,
     evaluate_limit_q1,
     exact_div_poly,
+    factor_product,
     laurent_gcd,
     parse_poly,
     parse_scalar,
     poly_to_str,
     one_minus_q2,
-    one_minus_q2_factored,
     q_power,
     qint,
-    qint_factored,
     scalar_to_str,
     sum_scalars,
 )
 
-from helpers import add_by_cross_multiplication, div_by_canonicalisation, mul_by_canonicalisation
+from helpers import (
+    add_by_cross_multiplication,
+    div_by_canonicalisation,
+    factor_product_by_division,
+    mul_by_canonicalisation,
+)
 
 
 def P(terms):
@@ -170,11 +174,39 @@ def test_cyclotomic_polynomials():
 
 
 def test_factored_forms_rebuild_the_factors():
-    for x in range(-40, 41):
-        assert cyclotomic_scalar(*qint_factored(x)) == qint(x)
-        assert cyclotomic_scalar(*one_minus_q2_factored(x)) == one_minus_q2(x)
-    assert cyclotomic_scalar(*qint_factored(0)).is_zero
-    assert cyclotomic_scalar(*one_minus_q2_factored(0)).is_zero
+    for factor in (qint, one_minus_q2):
+        for x in range(-40, 41):
+            assert factor_product([x], [], factor) == factor(x)
+
+
+def _factor_product_outcome(fn, args):
+    try:
+        val = fn(*args)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+    return val.num.terms, val.den.terms
+
+
+def test_factor_product_matches_division_oracle():
+    # a vanishing up factor gives 0; a vanishing down factor raises, even
+    # when an up factor vanishes too
+    cases = [([], [], qint), ([3, 0], [2], qint), ([0], [-1, 0], one_minus_q2)]
+    rng = random.Random(15)
+    for _ in range(400):
+        up = [rng.randint(-12, 12) for _ in range(rng.randint(0, 4))]
+        down = [rng.randint(-12, 12) for _ in range(rng.randint(0, 4))]
+        for xs in (up, down):
+            if rng.random() < 0.2:
+                xs.insert(rng.randint(0, len(xs)), 0)
+        cases.append((up, down, rng.choice((qint, one_minus_q2))))
+    kinds = Counter()
+    for args in cases:
+        want = _factor_product_outcome(factor_product_by_division, args)
+        assert _factor_product_outcome(factor_product, args) == want, args
+        up, down, factor = args
+        kinds[factor.__name__, 0 in up, 0 in down] += 1
+        kinds["empty"] += not up or not down
+    assert len(kinds) == 9 and min(kinds.values()) >= 10, kinds
 
 
 def test_subst_q_inverse():

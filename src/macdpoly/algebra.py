@@ -22,6 +22,7 @@ from .weights import Weight, RootData, check_param, pairing, weyl_orbit
 __all__ = [
     "GroupAlgebraElement",
     "orbit_sum",
+    "orbit_expansion",
     "char_lambda_r",
     "qdim",
     "root_product",
@@ -171,27 +172,7 @@ class GroupAlgebraElement:
                     return False
         return True
 
-    # -- serialization and comparison ------------------------------------
-
-    def to_records(self) -> list[dict[str, str]]:
-        """Stable list of {"weight": "a,b,c", "coeff": canonical-string} records."""
-        return [
-            {"weight": str(w), "coeff": scalar_to_str(self.terms[w])}
-            for w in self.support()
-        ]
-
-    @classmethod
-    def from_records(cls, n: int, records) -> "GroupAlgebraElement":
-        from .exact import parse_scalar
-        from .weights import parse_weight
-
-        data: dict[Weight, ExactScalar] = {}
-        for rec in records:
-            w = parse_weight(rec["weight"], n)
-            if w in data:
-                raise ValueError(f"duplicate weight {rec['weight']!r} in records")
-            data[w] = parse_scalar(rec["coeff"])
-        return cls(n, data)
+    # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupAlgebraElement):
@@ -215,6 +196,15 @@ def orbit_sum(lam: Weight) -> GroupAlgebraElement:
         raise ValueError(f"orbit sums are indexed by dominant weights, got {lam!r}")
     one = ExactScalar.one()
     return GroupAlgebraElement._raw(lam.rank, {w: one for w in weyl_orbit(lam)})
+
+
+def orbit_expansion(n: int, coeffs: Mapping[Weight, ExactScalar]) -> GroupAlgebraElement:
+    """sum_mu c_mu m_mu over dominant mu; zero coefficients are dropped.
+
+    Orbits of distinct dominant weights are disjoint: no terms to combine.
+    """
+    return GroupAlgebraElement._raw(
+        n, {w: c for mu, c in coeffs.items() if c for w in weyl_orbit(mu)})
 
 
 def char_lambda_r(n: int, r: int) -> GroupAlgebraElement:

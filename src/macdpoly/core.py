@@ -28,7 +28,7 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import GroupAlgebraElement, binomial_product
+from .algebra import GroupAlgebraElement, binomial_product, orbit_expansion
 from .exact import ExactScalar, parse_scalar, scalar_to_str, sum_scalars
 from .weights import (Weight, RootData, check_param, dominance_leq, dominant_below,
                       parse_weight, weyl_orbit)
@@ -61,7 +61,8 @@ class MacdonaldContext:
     first use), the polynomials
     (``"poly"``: dominant weight -> (orbit-sum coefficients, element)),
     the Gram entries, the norms <P_mu, P_mu> used by the construction,
-    the raw constant-term ``norm`` of each P_lam, ``chi`` and ``chi0``.
+    the raw constant-term ``norm`` of each P_lam, ``chi``, ``chi0`` and
+    the Weyl alternant ``a_rho`` that operators reads M_r off.
     Entries read from a cache file wait in ``_loaded`` until their first
     use checks them; ``rejected`` lists those that failed.
     """
@@ -189,10 +190,7 @@ def _load_or_build(lam: Weight, ctx: MacdonaldContext):
         coeffs = None
     if coeffs is None:
         coeffs = _build(lam, ctx)
-    # orbits of distinct dominant weights are disjoint: no terms to combine
-    element = GroupAlgebraElement._raw(
-        ctx.n, {w: c for mu, c in coeffs.items() for w in weyl_orbit(mu)})
-    return coeffs, element
+    return coeffs, orbit_expansion(ctx.n, coeffs)
 
 
 def chi0(ctx: MacdonaldContext) -> GroupAlgebraElement:

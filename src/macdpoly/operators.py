@@ -7,99 +7,81 @@ The r-th operator acts on W-invariant elements by
             ( prod_{alpha in R, (alpha,nu) = -1} (q^(2k) - e^alpha)/(1 - e^alpha) ) T_nu f,
 
 where T_nu e^lam = q^(2 (nu, lam)) e^lam and Lambda_r runs over the
-weights of the r-th exterior power.  It is computed as a ratio of Weyl
-alternants, M_r f = a_rho^(-1) sum_nu T_{k nu}(a_rho) T_nu f with
-a_rho = e^rho prod_{alpha>0} (1 - e^(-alpha)) (Macdonald, SFHP VI.3), built
-by algebra.binomial_product like the kernel and chi0; the anti-invariant
-sum is divided by a_rho exactly, one positive root at a time.
-The normalising power cancels since 2 (nu, rho) = sum_{alpha>0} (alpha, nu):
-the q^(2k (nu, rho)) that T_{k nu} puts on e^rho is q^(k r (r-n)) times the
-q^(2k) pulled out of each positive root with (alpha, nu) = 1.
+weights of the r-th exterior power.  As a ratio of Weyl alternants it is
+M_r f = A / a_rho with A = sum_nu T_{k nu}(a_rho) T_nu f and
+a_rho = e^rho prod_{alpha>0} (1 - e^(-alpha)) = sum_w sgn(w) e^(w rho)
+(Macdonald, SFHP VI.3).  The normalising power cancels since
+2 (nu, rho) = sum_{alpha>0} (alpha, nu): the q^(2k (nu, rho)) that T_{k nu}
+puts on e^rho is q^(k r (r-n)) times the q^(2k) pulled out of each
+positive root with (alpha, nu) = 1.
+
+Neither the product nor the division is carried out.  M_r f = sum_mu d_mu m_mu
+is W-invariant, so by Weyl's character formula (SFHP I.3) the coefficient
+of e^(mu+rho) in a_rho M_r f, for dominant mu, is
+
+    A[mu+rho] = sum_w sgn(w) d[dom(mu + rho - w rho)],
+
+and only w = 1 gives mu itself; every other term is strictly higher in
+dominance.  So d_mu is A[mu+rho], read off f's coefficients at
+mu + rho - w rho, minus the higher d's, taken highest mu first.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .algebra import GroupAlgebraElement, binomial_product, char_lambda_r, root_product
+from .algebra import (GroupAlgebraElement, binomial_product, char_lambda_r, orbit_expansion,
+                      root_product)
 from .core import MacdonaldContext, macdonald_poly
-from .exact import ExactDivisionError, ExactScalar, q_power, qint
-from .weights import Weight, check_param, lambda_r_weights, pairing
+from .exact import ExactScalar, q_power, qint, sum_scalars
+from .weights import Weight, check_param, dominant_below, lambda_r_weights, pairing
 
 __all__ = [
     "PieriTerm",
-    "shift_apply",
     "macdonald_operator",
     "eigenvalue",
     "pieri_coefficient",
     "pieri_expand",
     "specialized_recurrence_sides",
     "specialized_recurrence_check",
-    "divide_by_root_binomial",
 ]
-
-
-def shift_apply(f: GroupAlgebraElement, nu: Weight) -> GroupAlgebraElement:
-    """T_nu: multiply the e^lam coefficient by q^(2 (nu, lam))."""
-    if nu.rank != f.n:
-        raise ValueError(f"shift weight rank {nu.rank} does not match element rank {f.n}")
-    return GroupAlgebraElement._raw(
-        f.n, {w: c * q_power(2 * pairing(nu, w)) for w, c in f.terms.items()})
-
-
-def divide_by_root_binomial(f: GroupAlgebraElement, alpha: Weight) -> GroupAlgebraElement:
-    """Exact division by (1 - e^alpha).
-
-    The support splits into ZZ-alpha cosets; along each coset the division
-    is univariate Laurent division, and the final carry must vanish for
-    the division to be exact (ExactDivisionError otherwise).
-    """
-    if f.is_zero:
-        return f
-    aa = pairing(alpha, alpha)
-    columns: dict[Weight, dict[int, ExactScalar]] = {}
-    for w, c in f.terms.items():
-        j = math.floor(pairing(w, alpha) / aa)
-        key = w - j * alpha
-        columns.setdefault(key, {})[j] = c
-    out: dict[Weight, ExactScalar] = {}
-    for key, col in columns.items():
-        lo = min(col)
-        hi = max(col)
-        carry = ExactScalar.zero()
-        for j in range(lo, hi + 1):
-            g = col.get(j)
-            if g is not None:
-                carry = carry + g
-            if j == hi:
-                if carry:
-                    raise ExactDivisionError(
-                        f"(1 - e^[{alpha}]) does not divide element: residue {carry} "
-                        f"on the coset of {key}")
-            elif carry:
-                out[key + j * alpha] = carry
-    return GroupAlgebraElement._raw(f.n, out)
 
 
 def macdonald_operator(f: GroupAlgebraElement, r: int,
                        ctx: MacdonaldContext) -> GroupAlgebraElement:
-    """Apply M_r to a W-invariant element by the alternant ratio above; the result is W-invariant."""
+    """Apply M_r to a W-invariant element by the readout above; the result is W-invariant."""
     n, k = ctx.n, ctx.k
     if f.n != n:
         raise ValueError(f"element rank {f.n} does not match context rank {n}")
     check_param(r, "operator index r", 1, n - 1)
     if not f.is_w_invariant():
         raise ValueError("macdonald_operator requires a Weyl-invariant input")
-    rd = ctx.root_data
-    a_rho = binomial_product(rd.rho, [-alpha for alpha in rd.positive_roots], (0,))
-    total = GroupAlgebraElement.zero(n)
-    for nu in lambda_r_weights(n, r):
-        total = total + shift_apply(a_rho, k * nu) * shift_apply(f, nu)
-    total = total * GroupAlgebraElement.exponential(-rd.rho)
-    for alpha in rd.positive_roots:
-        total = divide_by_root_binomial(total, -alpha)
-    return total
+    rho = ctx.root_data.rho
+    a_rho = ctx.memo("a_rho", (), lambda: binomial_product(
+        rho, [-alpha for alpha in ctx.root_data.positive_roots], (0,)))
+    nus = lambda_r_weights(n, r)
+    # e^(w rho) -> (rho - w rho, sgn w, each nu's 2k (nu, w rho))
+    alternant = [(rho - w, sign, [2 * k * pairing(nu, w) for nu in nus])
+                 for w, sign in a_rho.terms.items()]
+    # M_r f lies in the span of the m_mu below f's dominant weights; walk them
+    # highest first (descending coordinates extend dominance, as canonical
+    # weights end in 0), so every higher d is known when mu needs it
+    below = {mu for lam in f.terms if lam.is_dominant for mu in dominant_below(lam)}
+    d: dict[Weight, ExactScalar] = {}
+    for mu in sorted(below, key=lambda w: w.coords, reverse=True):
+        items = []
+        for shift, sign, exps in alternant:
+            beta = mu + shift
+            c = f.terms.get(beta)
+            if c is not None:
+                c = c * sign
+                items.extend((c, q_power(e + 2 * pairing(nu, beta))) for nu, e in zip(nus, exps))
+            # d[mu] itself is not there yet, so w = 1 adds nothing here
+            higher = d.get(Weight(sorted(beta.coords, reverse=True)))
+            if higher is not None:
+                items.append(-(higher * sign))
+        d[mu] = sum_scalars(items)
+    return orbit_expansion(n, d)
 
 
 def eigenvalue(lam: Weight, r: int, ctx: MacdonaldContext) -> ExactScalar:

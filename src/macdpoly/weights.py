@@ -33,8 +33,8 @@ __all__ = [
 
 
 def check_param(value, name: str, lo: int, hi: int | None = None) -> None:
-    """Require an int with lo <= value (<= hi, which is only ever n-1 on an index r)."""
-    if isinstance(value, int) and value >= lo and (hi is None or value <= hi):
+    """Require an int, not a bool, with lo <= value (<= hi, which is only ever n-1 on an index r)."""
+    if type(value) is int and value >= lo and (hi is None or value <= hi):
         return
     bound = f"be an integer >= {lo}" if hi is None else f"satisfy {lo} <= r <= n-1"
     raise ValueError(f"{name} must {bound}, got {value!r}")
@@ -50,7 +50,7 @@ class Weight:
         if len(t) < 2:
             raise ValueError("weights need at least two coordinates")
         for c in t:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise TypeError(f"weight coordinates must be integers, got {c!r}")
         last = t[-1]
         if last:

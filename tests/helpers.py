@@ -8,13 +8,13 @@ these and the library is what the tests are for.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
-from macdpoly.algebra import GroupAlgebraElement
+from macdpoly.algebra import GroupAlgebraElement, binomial_product
 from macdpoly.core import MacdonaldContext, macdonald_poly
-from macdpoly.exact import (ExactScalar, LaurentPoly, factor_product, one_minus_q2, q_power,
-                            sum_scalars)
-from macdpoly.operators import divide_by_root_binomial, shift_apply
+from macdpoly.exact import (ExactDivisionError, ExactScalar, LaurentPoly, factor_product,
+                            one_minus_q2, q_power, sum_scalars)
 from macdpoly.weights import (
     RootData,
     Weight,
@@ -125,6 +125,68 @@ def evaluate_at_term_by_term(f, xi):
     return total
 
 
+def shift_apply(f, nu):
+    """T_nu: multiply the e^lam coefficient by q^(2 (nu, lam))."""
+    if nu.rank != f.n:
+        raise ValueError(f"shift weight rank {nu.rank} does not match element rank {f.n}")
+    return GroupAlgebraElement._raw(
+        f.n, {w: c * q_power(2 * pairing(nu, w)) for w, c in f.terms.items()})
+
+
+def divide_by_root_binomial(f, alpha):
+    """Exact division by (1 - e^alpha).
+
+    The support splits into ZZ-alpha cosets; along each coset the division
+    is univariate Laurent division, and the final carry must vanish for
+    the division to be exact (ExactDivisionError otherwise).
+    """
+    if f.is_zero:
+        return f
+    aa = pairing(alpha, alpha)
+    columns = {}
+    for w, c in f.terms.items():
+        j = math.floor(pairing(w, alpha) / aa)
+        key = w - j * alpha
+        columns.setdefault(key, {})[j] = c
+    out = {}
+    for key, col in columns.items():
+        lo = min(col)
+        hi = max(col)
+        carry = ExactScalar.zero()
+        for j in range(lo, hi + 1):
+            g = col.get(j)
+            if g is not None:
+                carry = carry + g
+            if j == hi:
+                if carry:
+                    raise ExactDivisionError(
+                        f"(1 - e^[{alpha}]) does not divide element: residue {carry} "
+                        f"on the coset of {key}")
+            elif carry:
+                out[key + j * alpha] = carry
+    return GroupAlgebraElement._raw(f.n, out)
+
+
+def macdonald_operator_by_division(f, r, ctx):
+    """M_r f as the alternant ratio a_rho^(-1) sum_nu T_(k nu)(a_rho) T_nu f, multiplied out.
+
+    The oracle for operators.macdonald_operator, which reads the orbit
+    coefficients of the same ratio off f without any product or division:
+    here the sum is built as whole group-algebra elements and divided by
+    e^rho and then by (1 - e^(-alpha)), one positive root at a time.
+    """
+    n, k = ctx.n, ctx.k
+    rd = ctx.root_data
+    a_rho = binomial_product(rd.rho, [-alpha for alpha in rd.positive_roots], (0,))
+    total = GroupAlgebraElement.zero(n)
+    for nu in lambda_r_weights(n, r):
+        total = total + shift_apply(a_rho, k * nu) * shift_apply(f, nu)
+    total = total * GroupAlgebraElement.exponential(-rd.rho)
+    for alpha in rd.positive_roots:
+        total = divide_by_root_binomial(total, -alpha)
+    return total
+
+
 def macdonald_operator_by_definition(f, r, ctx):
     """M_r f straight from its definition, as the oracle for the alternant form.
 
@@ -231,7 +293,10 @@ def chi0_by_loops(n, k):
 
 
 def a_rho_by_loops(n):
-    """The alternant e^rho prod_{alpha > 0} (1 - e^(-alpha)), as operators built it in place."""
+    """The alternant e^rho prod_{alpha > 0} (1 - e^(-alpha)), multiplied out in place.
+
+    The oracle for the binomial_product behind the operators' a_rho.
+    """
     rd = RootData(n)
     a_rho = GroupAlgebraElement.exponential(rd.rho)
     for alpha in rd.positive_roots:

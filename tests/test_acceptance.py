@@ -137,8 +137,8 @@ def test_acceptance_06_eigenvalue_equation():
                     for lam in grid_weights(n):
                         p = macdonald_poly(lam, ctx)
                         assert macdonald_operator(p, r, ctx) == p * eigenvalue(lam, r, ctx)
-                    # the divisions also come out exact on invariants that
-                    # are not eigenfunctions
+                    # the operator also gives an invariant on invariants that
+                    # are not eigenfunctions (test_operators checks its value)
                     f = orbit_sum(Weight((2,) + (0,) * (n - 1)))
                     g = f * f + char_lambda_r(n, r)
                     assert macdonald_operator(g, r, ctx).is_w_invariant()

@@ -265,16 +265,6 @@ def test_root_product_matches_division_oracle_on_closed_form_inputs(monkeypatch)
                 == _root_product_outcome(root_product_by_division, args)), args
 
 
-def test_records_round_trip():
-    f = orbit_sum(Weight((2, 0, 0))) * ExactScalar(qint(2).num) + E(Weight((1, 1, 0)))
-    records = f.to_records()
-    back = GroupAlgebraElement.from_records(3, records)
-    assert back == f
-    assert records == f.to_records()  # deterministic ordering
-    keys = [tuple(int(c) for c in r["weight"].split(",")) for r in records]
-    assert keys == sorted(keys)
-
-
 def test_element_to_str_deterministic():
     f = orbit_sum(fundamental_weight(2, 1))
     assert element_to_str(f) == element_to_str(orbit_sum(fundamental_weight(2, 1)))

@@ -214,6 +214,18 @@ def test_report_params_are_the_needed_names():
     assert type(report.params["r"]) is int
 
 
+def test_bool_parameters_are_rejected():
+    # True is an int to isinstance; it must not pass for k = 1 or r = 1
+    with pytest.raises(ValueError):
+        MacdonaldContext(2, True)
+    ctx = get_context(2, 2)
+    lam = Weight((1, 0))
+    for identity, params in (("eigenvalue", {"lambda": lam}), ("pieri", {"mu": lam}),
+                             ("specialized_recurrence", {"lambda": lam, "mu": lam})):
+        report = verify(identity, {**params, "r": True}, ctx)
+        assert not report.equal and "operator index r" in report.error
+
+
 def test_report_golden_json_lines():
     ctx = get_context(2, 2)
     got = verify("norm", {"lambda": Weight((2, 0))}, ctx).to_json()

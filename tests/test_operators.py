@@ -1,27 +1,31 @@
 """Difference operators, Pieri expansion, specialized recurrence."""
 
+import random
+
 import pytest
 
 from macdpoly.algebra import GroupAlgebraElement, char_lambda_r, orbit_sum
 from macdpoly.core import macdonald_poly
 from macdpoly.exact import ExactDivisionError, ExactScalar, q_power, qint
 from macdpoly.operators import (
-    divide_by_root_binomial,
     eigenvalue,
     macdonald_operator,
     pieri_coefficient,
     pieri_expand,
-    shift_apply,
     specialized_recurrence_check,
     specialized_recurrence_sides,
 )
 from macdpoly.weights import Weight, fundamental_weight, lambda_r_weights, pairing
 
 from helpers import (
+    GRID_NK,
+    divide_by_root_binomial,
     expand_in_p_basis,
     get_context,
     grid_weights,
     macdonald_operator_by_definition,
+    macdonald_operator_by_division,
+    shift_apply,
 )
 
 E = GroupAlgebraElement.exponential
@@ -84,6 +88,14 @@ def test_eigenvalue_equation_rank3_both_operators():
         assert macdonald_operator(p, r, ctx) == p * eigenvalue(lam, r, ctx)
 
 
+def test_eigenvalue_equation_rank5():
+    ctx = get_context(5, 1)
+    for lam in grid_weights(5, 2):
+        p = macdonald_poly(lam, ctx)
+        for r in range(1, 5):
+            assert macdonald_operator(p, r, ctx) == p * eigenvalue(lam, r, ctx)
+
+
 def test_eigenvalue_closed_form():
     # c = sum over the r-subset weights of q^(2 (nu, lam + k rho))
     ctx = get_context(3, 2)
@@ -98,7 +110,7 @@ def test_eigenvalue_closed_form():
 
 @pytest.mark.parametrize("n,k,max_size", [(2, 1, 4), (2, 2, 4), (2, 3, 4), (3, 1, 2), (3, 2, 2)])
 def test_operator_matches_definition(n, k, max_size):
-    # the alternant form against the definition: every P_lam and every r,
+    # the readout against the definition: every P_lam and every r,
     # plus m_(2,0,..)^2 + X_r, which is invariant but not an eigenfunction
     ctx = get_context(n, k)
     m2 = orbit_sum(Weight((2,) + (0,) * (n - 1)))
@@ -112,6 +124,36 @@ def test_operator_matches_definition_rank4():
     ctx = get_context(4, 1)
     f = orbit_sum(Weight((1, 1, 0, 0))) * orbit_sum(Weight((1, 0, 0, 0))) + char_lambda_r(4, 3)
     assert macdonald_operator(f, 2, ctx) == macdonald_operator_by_definition(f, 2, ctx)
+
+
+def _mixed_invariant(n, rng):
+    """A W-invariant sum of random multiples of orbit sums of sizes 1, 2 and 3.
+
+    Those sizes lie in different root-lattice cosets for n >= 3, so the
+    readout has to walk several dominance-closed sets at once.
+    """
+    f = GroupAlgebraElement.zero(n)
+    for size in (1, 2, 3):
+        lam = rng.choice([w for w in grid_weights(n, 3) if w.total() == size])
+        f = f + orbit_sum(lam) * (qint(rng.randint(1, 4)) * q_power(rng.randint(-3, 3)))
+    return f
+
+
+@pytest.mark.parametrize("n,k,max_size",
+                         [(n, k, 4) for n, k in GRID_NK] + [(4, 1, 2), (4, 2, 2), (5, 1, 2)])
+def test_operator_readout_matches_oracles(n, k, max_size):
+    # every P_lam and every r, plus for each r two invariants that are not
+    # eigenfunctions: m_(2,0,..)^2 + X_r and a random sum over several cosets
+    ctx = get_context(n, k)
+    rng = random.Random(10 * n + k)
+    m2 = orbit_sum(Weight((2,) + (0,) * (n - 1)))
+    polys = [macdonald_poly(lam, ctx) for lam in grid_weights(n, max_size)]
+    for r in range(1, n):
+        for f in polys + [m2 * m2 + char_lambda_r(n, r), _mixed_invariant(n, rng)]:
+            out = macdonald_operator(f, r, ctx)
+            assert out == macdonald_operator_by_division(f, r, ctx)
+            if n <= 3:
+                assert out == macdonald_operator_by_definition(f, r, ctx)
 
 
 def test_operator_is_linear():

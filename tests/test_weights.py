@@ -24,6 +24,8 @@ def test_canonical_rep_mod_all_ones():
     assert Weight((0, 1)).coords == (-1, 0)
     with pytest.raises(TypeError):
         Weight((1.5, 0))
+    with pytest.raises(TypeError):
+        Weight((True, False))
 
 
 def test_weight_arithmetic():
@@ -180,8 +182,11 @@ def test_check_param_messages():
         ((0, "r", 1, 2), "r must satisfy 1 <= r <= n-1, got 0"),
         ((3, "operator index r", 1, 2),
          "operator index r must satisfy 1 <= r <= n-1, got 3"),
+        ((True, "deformation parameter k", 1),
+         "deformation parameter k must be an integer >= 1, got True"),
     ]
     for args, message in cases:
         with pytest.raises(ValueError) as info:
             check_param(*args)
         assert str(info.value) == message
+

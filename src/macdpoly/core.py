@@ -42,6 +42,7 @@ __all__ = [
     "chi0",
     "chi",
     "norm",
+    "poly_value",
     "save_cache",
     "load_cache",
 ]
@@ -61,8 +62,10 @@ class MacdonaldContext:
     first use), the polynomials
     (``"poly"``: dominant weight -> (orbit-sum coefficients, element)),
     the Gram entries, the norms <P_mu, P_mu> used by the construction,
-    the raw constant-term ``norm`` of each P_lam, ``chi``, ``chi0`` and
-    the Weyl alternant ``a_rho`` that operators reads M_r off.
+    the raw constant-term ``norm`` of each P_lam, ``chi``, ``chi0``, the
+    values P_lam(q^(2 xi)) and chi0(q^(2 xi)) and the cross_check_45 sides
+    that identities compares, and the Weyl alternant ``a_rho`` that
+    operators reads M_r off.
     Entries read from a cache file wait in ``_loaded`` until their first
     use checks them; ``rejected`` lists those that failed.
     """
@@ -107,12 +110,17 @@ class MacdonaldContext:
 
 def inner_product(f: GroupAlgebraElement, g: GroupAlgebraElement,
                   ctx: MacdonaldContext) -> ExactScalar:
-    """<f, g> = (1/n!) * constant term of f * bar(g) * Delta."""
+    """<f, g> = (1/n!) * constant term of f * bar(g) * Delta.
+
+    That is sum_(w1, w2) f[w1] g[w2] Delta[w2 - w1]; f * bar(g) is never formed.
+    """
     if f.n != ctx.n or g.n != ctx.n:
         raise ValueError("inner product arguments must match the context rank")
     kernel = ctx.kernel.terms
-    total = sum_scalars((c, kc) for w, c in (f * g.bar()).terms.items()
-                        if (kc := kernel.get(-w)) is not None)
+    total = sum_scalars(
+        (c1, sum_scalars((c2, kc) for w2, c2 in g.terms.items()
+                         if (kc := kernel.get(w2 - w1)) is not None))
+        for w1, c1 in f.terms.items())
     return total * Fraction(1, math.factorial(ctx.n))
 
 
@@ -221,6 +229,11 @@ def norm(lam: Weight, ctx: MacdonaldContext) -> ExactScalar:
         return inner_product(p, p, ctx)
 
     return ctx.memo("norm", lam, compute)
+
+
+def poly_value(lam: Weight, xi: Weight, ctx: MacdonaldContext) -> ExactScalar:
+    """P_lam(q^(2 xi)), memoized per (lam, xi): each value is evaluated once per context."""
+    return ctx.memo("value", (lam, xi), lambda: macdonald_poly(lam, ctx).evaluate_at(xi))
 
 
 # ---------------------------------------------------------------------------

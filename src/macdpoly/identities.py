@@ -5,8 +5,11 @@ evaluations of the constructed P_lam, operator application) and a
 closed-form side (a product over roots of q-integers or of 1 - q^(2x),
 one call to algebra.root_product, assembled from cyclotomic factors with
 no gcd) by disjoint code paths, then compares canonical forms exactly.
-Reports carry both sides as canonical strings even on success, for
-golden-file regressions.
+Verifiers work on values and dominant coefficients, not on products of
+elements: each P_lam(q^(2 xi)) is read from the context's value memo,
+and since evaluation is a ring homomorphism a character's value is a
+product of values.  Reports carry both sides as canonical strings even
+on success, for golden-file regressions.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ import itertools
 import json
 from dataclasses import asdict, dataclass
 
-from .algebra import GroupAlgebraElement, char_lambda_r, element_to_str, qdim, root_product
-from .core import MacdonaldContext, chi, chi0, delta_kernel, macdonald_poly, norm
-from .exact import ExactScalar, one_minus_q2, q_power, qint, scalar_to_str
+from .algebra import GroupAlgebraElement, element_to_str, orbit_expansion, qdim, root_product
+from .core import (MacdonaldContext, chi0, delta_kernel, macdonald_coeffs, macdonald_poly,
+                   norm, poly_value)
+from .exact import ExactScalar, one_minus_q2, q_power, qint, scalar_to_str, sum_scalars
 from .operators import eigenvalue, macdonald_operator, pieri_expand, specialized_recurrence_sides
-from .weights import Weight, RootData, dominant_weights_up_to, pairing
+from .weights import (Weight, RootData, dominant_below, dominant_weights_up_to,
+                      fundamental_weight, lambda_r_weights, pairing)
 
 __all__ = [
     "VerificationReport",
@@ -57,7 +62,7 @@ def shapovalov_denominator(lam: Weight, k: int, n: int) -> ExactScalar:
     Defined for any integer k >= 0 (k = 0 gives the empty product 1);
     this is the denominator that controls the contravariant-form poles.
     """
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     rd = RootData(n)
     shifted = lam + rd.rho
@@ -72,7 +77,7 @@ def cor38_ratio(lam: Weight, k: int, n: int) -> ExactScalar:
     Raises when a denominator factor vanishes, naming the offending
     (alpha, i); that happens exactly when (alpha, lam + rho) = i.
     """
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     rd = RootData(n)
     shifted = lam + rd.rho
@@ -164,16 +169,15 @@ def _verify_norm(lam, ctx):
 
 
 def _verify_symmetry(lam, mu, ctx):
-    num = macdonald_poly(mu, ctx).evaluate_at(lam + ctx.k * ctx.root_data.rho)
-    den = macdonald_poly(lam, ctx).evaluate_at(mu + ctx.k * ctx.root_data.rho)
+    num = poly_value(mu, lam + ctx.k * ctx.root_data.rho, ctx)
+    den = poly_value(lam, mu + ctx.k * ctx.root_data.rho, ctx)
     if not den:
         raise ValueError("denominator evaluation vanishes; symmetry ratio undefined")
     return num / den, symmetry_rhs(lam, mu, ctx)
 
 
 def _verify_special_value(lam, ctx):
-    lhs = macdonald_poly(lam, ctx).evaluate_at(ctx.k * ctx.root_data.rho)
-    return lhs, special_value_rhs(lam, ctx)
+    return poly_value(lam, ctx.k * ctx.root_data.rho, ctx), special_value_rhs(lam, ctx)
 
 
 def _verify_kernel_factorization(ctx):
@@ -187,10 +191,20 @@ def _verify_eigenvalue(lam, r, ctx):
 
 
 def _verify_pieri(mu, r, ctx):
-    lhs = GroupAlgebraElement.zero(ctx.n)
-    for term in pieri_expand(mu, r, ctx):
-        lhs = lhs + macdonald_poly(mu + term.nu, ctx) * term.coefficient
-    return lhs, char_lambda_r(ctx.n, r) * macdonald_poly(mu, ctx)
+    """sum_nu c_nu P_(mu+nu) against X_r P_mu, [X_r f]_kappa = sum_(nu in Lambda_r) f[kappa - nu].
+
+    Both are read at every dominant kappa below the top weight mu + omega_r, not just
+    on the left side's support, so a missing term shows; orbits are expanded to print.
+    """
+    terms = [(t.coefficient, macdonald_coeffs(mu + t.nu, ctx)) for t in pieri_expand(mu, r, ctx)]
+    p = macdonald_coeffs(mu, ctx)
+    nus = lambda_r_weights(ctx.n, r)
+    lhs, rhs = {}, {}
+    for kappa in dominant_below(mu + fundamental_weight(ctx.n, r)):
+        lhs[kappa] = sum_scalars((c, cs[kappa]) for c, cs in terms if kappa in cs)
+        rhs[kappa] = sum_scalars(p[d] for nu in nus
+                                 if (d := Weight(sorted((kappa - nu).coords, reverse=True))) in p)
+    return orbit_expansion(ctx.n, lhs), orbit_expansion(ctx.n, rhs)
 
 
 def _verify_specialized_recurrence(lam, mu, r, ctx):
@@ -212,14 +226,22 @@ def _verify_cross_check_45(lam, mu, ctx):
     substituting those into this equation reproduces the symmetry ratio
     exactly, while attaching each q-dimension to the opposite side would
     invert it.
+
+    Evaluation is a ring homomorphism, so chi_mu = P_mu chi0 is never built:
+    its value is P_mu's times chi0's.  Each side is memoized per ordered pair,
+    so the reports for (lam, mu) and (mu, lam) compare the same two values.
     """
-    k = ctx.k
-    rho = ctx.root_data.rho
-    lam_up = lam + (k - 1) * rho
-    mu_up = mu + (k - 1) * rho
-    lhs = (chi(mu, ctx).evaluate_at(lam + k * rho) * norm(lam, ctx) * qdim(lam_up))
-    rhs = (chi(lam, ctx).evaluate_at(mu + k * rho) * norm(mu, ctx) * qdim(mu_up))
-    return lhs, rhs
+    k, rho = ctx.k, ctx.root_data.rho
+
+    def side(a, b, a_up):
+        xi = a + k * rho
+        c0 = ctx.memo("chi0_value", xi, lambda: chi0(ctx).evaluate_at(xi))
+        return ctx.memo("trace_side", (a, b),
+                        lambda: poly_value(b, xi, ctx) * c0 * norm(a, ctx) * qdim(a_up))
+
+    # both shifts first, so a weight of the wrong rank fails there for either side
+    lam_up, mu_up = lam + (k - 1) * rho, mu + (k - 1) * rho
+    return side(lam, mu, lam_up), side(mu, lam, mu_up)
 
 
 # identity -> (driver, parameter names); driver(*params, ctx) returns (lhs, rhs)

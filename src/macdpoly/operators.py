@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .algebra import (GroupAlgebraElement, binomial_product, char_lambda_r, orbit_expansion,
                       root_product)
-from .core import MacdonaldContext, macdonald_poly
+from .core import MacdonaldContext, poly_value
 from .exact import ExactScalar, q_power, qint, sum_scalars
 from .weights import Weight, check_param, dominant_below, lambda_r_weights, pairing
 
@@ -162,15 +162,15 @@ def specialized_recurrence_sides(lam: Weight, mu: Weight, r: int,
     check_param(r, "operator index r", 1, n - 1)
     rho = ctx.root_data.rho
     shifted = mu + k * rho
-    p = macdonald_poly(lam, ctx)
-    lhs = ExactScalar.zero()
+    items = []
     for nu in lambda_r_weights(n, r):
         if not (mu + nu).is_dominant:
             continue
         roots = [alpha for alpha in ctx.root_data.all_roots if pairing(alpha, nu) == -1]
         coeff = root_product(roots, shifted, shifted, (-k,), (0,), qint)
-        lhs = lhs + coeff * p.evaluate_at(mu + nu + k * rho)
-    rhs = eigenvalue(lam, r, ctx) * p.evaluate_at(shifted)
+        items.append((coeff, poly_value(lam, mu + nu + k * rho, ctx)))
+    lhs = sum_scalars(items)
+    rhs = eigenvalue(lam, r, ctx) * poly_value(lam, shifted, ctx)
     return lhs, rhs
 
 

@@ -9,12 +9,14 @@ these and the library is what the tests are for.
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
-from macdpoly.algebra import GroupAlgebraElement, binomial_product
-from macdpoly.core import MacdonaldContext, macdonald_poly
+from macdpoly.algebra import GroupAlgebraElement, binomial_product, char_lambda_r, qdim
+from macdpoly.core import MacdonaldContext, chi, macdonald_poly, norm
 from macdpoly.exact import (ExactDivisionError, ExactScalar, LaurentPoly, factor_product,
                             one_minus_q2, q_power, sum_scalars)
+from macdpoly.operators import pieri_expand
 from macdpoly.weights import (
     RootData,
     Weight,
@@ -26,6 +28,9 @@ from macdpoly.weights import (
 )
 
 GRID_NK = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+
+# (n, k, max_size) at which a fast path is checked against its oracle
+ORACLE_GRID = [(n, k, 3) for n, k in GRID_NK] + [(4, 1, 2), (4, 2, 2), (5, 1, 2)]
 
 
 @lru_cache(maxsize=None)
@@ -207,6 +212,42 @@ def macdonald_operator_by_definition(f, r, ctx):
     for alpha in roots:
         total = divide_by_root_binomial(total, alpha)
     return total * q_power(k * r * (r - n))
+
+
+def pieri_sides_by_products(mu, r, ctx):
+    """Both sides of the Pieri rule as whole elements: sum_nu c_nu P_(mu+nu) and X_r * P_mu.
+
+    The oracle for the pieri verifier, which reads both sides off
+    dominant coefficients without any group-algebra product.
+    """
+    lhs = GroupAlgebraElement.zero(ctx.n)
+    for term in pieri_expand(mu, r, ctx):
+        lhs = lhs + macdonald_poly(mu + term.nu, ctx) * term.coefficient
+    return lhs, char_lambda_r(ctx.n, r) * macdonald_poly(mu, ctx)
+
+
+def cross_check_45_by_characters(lam, mu, ctx):
+    """Both sides of cross_check_45 with each chi built as the element P * chi0, then evaluated.
+
+    The oracle for the cross_check_45 verifier, which multiplies the
+    values P_mu(q^(2 xi)) and chi0(q^(2 xi)) instead.
+    """
+    k, rho = ctx.k, ctx.root_data.rho
+    lhs = chi(mu, ctx).evaluate_at(lam + k * rho) * norm(lam, ctx) * qdim(lam + (k - 1) * rho)
+    rhs = chi(lam, ctx).evaluate_at(mu + k * rho) * norm(mu, ctx) * qdim(mu + (k - 1) * rho)
+    return lhs, rhs
+
+
+def inner_product_by_product(f, g, ctx):
+    """<f, g> as (1/n!) [f bar(g) Delta]_0, with f * bar(g) multiplied out first.
+
+    The oracle for core.inner_product, which sums f[w1] g[w2] Delta[w2 - w1]
+    without forming the product.
+    """
+    kernel = ctx.kernel.terms
+    total = sum_scalars((c, kc) for w, c in (f * g.bar()).terms.items()
+                        if (kc := kernel.get(-w)) is not None)
+    return total * Fraction(1, math.factorial(ctx.n))
 
 
 def add_by_cross_multiplication(a, b):

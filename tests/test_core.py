@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -23,11 +24,12 @@ from macdpoly.core import (
     norm,
     save_cache,
 )
-from macdpoly.exact import ExactScalar, LaurentPoly, parse_scalar, qint
+from macdpoly.exact import ExactScalar, LaurentPoly, parse_scalar, q_power, qint
 from macdpoly.weights import RootData, Weight, dominance_leq, dominant_below, fundamental_weight
 
 from helpers import (
     GRID_NK,
+    ORACLE_GRID,
     _horizontal_strips,
     _psi,
     a_rho_by_loops,
@@ -35,6 +37,7 @@ from helpers import (
     delta_kernel_by_loops,
     get_context,
     grid_weights,
+    inner_product_by_product,
     kostka_number,
     lift_to_content,
     macdonald_coeffs_by_tableaux,
@@ -126,6 +129,31 @@ def test_inner_product_symmetric_on_invariants():
     f = orbit_sum(Weight((2, 0)))
     g = orbit_sum(Weight((0, 0)))
     assert inner_product(f, g, ctx) == inner_product(g, f, ctx)
+
+
+def _random_element(n, rng):
+    """A few exponentials e^w at random small weights with random rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        w = Weight([rng.randint(-2, 2) for _ in range(n)])
+        terms[w] = q_power(rng.randint(-3, 3)) * qint(rng.randint(1, 4)) / qint(rng.randint(1, 3))
+    return GroupAlgebraElement(n, terms)
+
+
+@pytest.mark.parametrize("n,k,max_size", ORACLE_GRID)
+def test_inner_product_matches_product_oracle(n, k, max_size):
+    # every pair of P's, and pairs with elements that are not W-invariant
+    ctx = get_context(n, k)
+    rng = random.Random(10 * n + k)
+    polys = [macdonald_poly(lam, ctx) for lam in grid_weights(n, max_size)]
+    others = []
+    while len(others) < 4:
+        f = _random_element(n, rng)
+        if not f.is_w_invariant():
+            others.append(f)
+    mixed = list(itertools.product(polys + others, others))
+    for f, g in list(itertools.product(polys, repeat=2)) + mixed + [(g, f) for f, g in mixed]:
+        assert inner_product(f, g, ctx) == inner_product_by_product(f, g, ctx)
 
 
 def test_macdonald_poly_trivial_cases():

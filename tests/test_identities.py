@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from macdpoly.algebra import qdim
+from macdpoly import identities
+from macdpoly.algebra import GroupAlgebraElement, qdim
 from macdpoly.core import MacdonaldContext, macdonald_poly, norm
 from macdpoly.exact import ExactScalar, evaluate_limit_q1, parse_scalar, qint, scalar_to_str
 from macdpoly.identities import (
@@ -23,7 +26,13 @@ from macdpoly.identities import (
 from macdpoly.operators import pieri_expand
 from macdpoly.weights import Weight, dominant_weights_up_to
 
-from helpers import get_context, grid_weights
+from helpers import (
+    ORACLE_GRID,
+    cross_check_45_by_characters,
+    get_context,
+    grid_weights,
+    pieri_sides_by_products,
+)
 
 
 def test_norm_rhs_k1_is_one():
@@ -53,6 +62,14 @@ def test_shapovalov_denominator():
     # generic weight: (alpha, lam + rho) = 4, factors at i = 1, 2
     v = shapovalov_denominator(Weight((3, 0)), 2, 2)
     assert v == parse_scalar("1 - 1*q^(6)") * parse_scalar("1 - 1*q^(4)")
+
+
+@pytest.mark.parametrize("closed_form", [shapovalov_denominator, cor38_ratio])
+def test_k_must_be_an_int_not_a_bool(closed_form):
+    with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+        closed_form(Weight((1, 0)), True, 2)
+    with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+        closed_form(Weight((1, 0)), -1, 2)
 
 
 def test_cor38_ratio_matches_norm_closed_form():
@@ -332,3 +349,65 @@ def test_verify_grid_order_matches_nested_loops(names):
 def test_verify_grid_unknown_identity():
     with pytest.raises(ValueError, match="unknown identity"):
         verify_grid(get_context(2, 1), max_size=2, identities=["norm", "bogus"])
+
+
+@pytest.mark.parametrize("n,k,max_size", ORACLE_GRID)
+def test_pieri_matches_product_oracle(n, k, max_size):
+    ctx = get_context(n, k)
+    for mu in grid_weights(n, max_size):
+        for r in range(1, n):
+            lhs, rhs = identities._verify_pieri(mu, r, ctx)
+            assert (lhs, rhs) == pieri_sides_by_products(mu, r, ctx)
+            assert lhs == rhs
+
+
+@pytest.mark.parametrize("n,k,max_size", ORACLE_GRID)
+def test_cross_check_45_matches_character_oracle(n, k, max_size):
+    ctx = get_context(n, k)
+    lams = grid_weights(n, max_size)
+    for lam in lams:
+        for mu in lams:
+            lhs, rhs = identities._verify_cross_check_45(lam, mu, ctx)
+            assert (lhs, rhs) == cross_check_45_by_characters(lam, mu, ctx)
+            # the swapped report compares the same two sides
+            assert identities._verify_cross_check_45(mu, lam, ctx) == (rhs, lhs)
+
+
+def test_pieri_reads_every_weight_below_the_top(monkeypatch):
+    # drop the top term P_(mu + omega_r): at mu = 0 no term is left, so the
+    # left side is 0, and a check read only over its support would pass
+    expand = identities.pieri_expand
+    monkeypatch.setattr(identities, "pieri_expand", lambda *args: expand(*args)[1:])
+    ctx = get_context(3, 2)
+    reports = verify_grid(ctx, max_size=2, identities=["pieri"])
+    assert reports and not any(r.equal for r in reports)
+    zero = [r for r in reports if r.params["mu"] == "0,0,0"]
+    assert zero and all(r.lhs == "0" for r in zero)
+
+
+def test_verify_grid_works_on_values(monkeypatch):
+    # on a fresh (3,2) context: each P_lam is evaluated at most once per
+    # point, no chi is built, and two elements are multiplied only to build
+    # the kernel, chi0 and a_rho and to check the kernel factorization
+    evaluated, products = [], Counter()
+    evaluate_at, mul = GroupAlgebraElement.evaluate_at, GroupAlgebraElement.__mul__
+
+    def counted_evaluate_at(self, xi):
+        evaluated.append((self, xi))  # holding self keeps every id distinct
+        return evaluate_at(self, xi)
+
+    def counted_mul(self, other):
+        if isinstance(other, GroupAlgebraElement):
+            products[sys._getframe(1).f_code.co_name] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupAlgebraElement, "evaluate_at", counted_evaluate_at)
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", counted_mul)
+    ctx = MacdonaldContext(3, 2)
+    reports = verify_grid(ctx, max_size=3)
+    assert reports and all(r.equal for r in reports)
+    polys = {id(macdonald_poly(lam, ctx)) for lam in grid_weights(3, 3)}
+    per_point = Counter((id(f), xi) for f, xi in evaluated if id(f) in polys)
+    assert per_point and max(per_point.values()) == 1
+    assert not any(kind == "chi" for kind, _ in ctx._memo)
+    assert set(products) == {"binomial_product", "_verify_kernel_factorization"}

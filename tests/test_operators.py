@@ -7,6 +7,7 @@ import pytest
 from macdpoly.algebra import GroupAlgebraElement, char_lambda_r, orbit_sum
 from macdpoly.core import macdonald_poly
 from macdpoly.exact import ExactDivisionError, ExactScalar, q_power, qint
+from macdpoly.identities import verify_grid
 from macdpoly.operators import (
     eigenvalue,
     macdonald_operator,
@@ -94,6 +95,14 @@ def test_eigenvalue_equation_rank5():
         p = macdonald_poly(lam, ctx)
         for r in range(1, 5):
             assert macdonald_operator(p, r, ctx) == p * eigenvalue(lam, r, ctx)
+
+
+def test_pieri_rank5():
+    # every |mu| <= 2 and r = 1..4 at n = 5
+    reports = verify_grid(get_context(5, 1), max_size=2, identities=["pieri"])
+    assert len(reports) == 16
+    for r in reports:
+        assert r.equal, r.to_json()
 
 
 def test_eigenvalue_closed_form():
